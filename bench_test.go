@@ -291,46 +291,45 @@ func BenchmarkJaccardStrategy(b *testing.B) {
 }
 
 // (c) server-side TableMult vs thin-client multiply — the Graphulo
-// premise.
+// premise. entries-written/op is the deterministic work counter: the
+// server's RemoteWrite fold writes folded cells, the client writes every
+// partial product.
 func BenchmarkTableMultVsClient(b *testing.B) {
 	for _, scale := range []int{6, 8} {
 		g := rmatGraph(scale)
-		b.Run(fmt.Sprintf("server/scale%d", scale), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := mustOpen(ClusterConfig{TabletServers: 4})
-				tg, err := db.CreateGraph("B")
-				if err != nil {
-					b.Fatal(err)
+		for _, side := range []string{"server", "client"} {
+			b.Run(fmt.Sprintf("%s/scale%d", side, scale), func(b *testing.B) {
+				b.ReportAllocs()
+				var written int64
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					db := mustOpen(ClusterConfig{TabletServers: 4})
+					tg, err := db.CreateGraph("B")
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := tg.Ingest(g); err != nil {
+						b.Fatal(err)
+					}
+					a, at, _ := tg.Tables()
+					_, _, before, _ := db.Metrics()
+					b.StartTimer()
+					mult := db.TableMult
+					if side == "client" {
+						mult = db.TableMultClient
+					}
+					if _, err := mult(at, a, "Sq", "plus.times"); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					_, _, after, _ := db.Metrics()
+					written += after - before
+					db.Close()
+					b.StartTimer()
 				}
-				if err := tg.Ingest(g); err != nil {
-					b.Fatal(err)
-				}
-				a, at, _ := tg.Tables()
-				b.StartTimer()
-				if _, err := db.TableMult(at, a, "Sq", "plus.times"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("client/scale%d", scale), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := mustOpen(ClusterConfig{TabletServers: 4})
-				tg, err := db.CreateGraph("B")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := tg.Ingest(g); err != nil {
-					b.Fatal(err)
-				}
-				a, at, _ := tg.Tables()
-				b.StartTimer()
-				if _, err := db.TableMultClient(at, a, "Sq", "plus.times"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+				b.ReportMetric(float64(written)/float64(b.N), "entries-written/op")
+			})
+		}
 	}
 }
 

@@ -713,11 +713,11 @@ func (g *TableGraph) BFSWithOptions(seeds []int, hops int, opts BFSOptions) (map
 
 // Degrees computes the degree table server-side and returns it.
 func (g *TableGraph) Degrees() (map[string]float64, error) {
-	out := g.name + "DegOut"
-	// A stale output table would sum with the fresh reduction.
-	if err := g.db.dropIfExists(out); err != nil {
+	out, err := g.privateTable("DegOut")
+	if err != nil {
 		return nil, err
 	}
+	defer g.db.dropIfExists(out)
 	if _, err := core.TableDegrees(g.db.conn, g.schema.Table, out); err != nil {
 		return nil, err
 	}
@@ -735,7 +735,11 @@ func (g *TableGraph) Degrees() (map[string]float64, error) {
 // KTruss computes the k-truss server-side, returning the surviving
 // adjacency as an associative array.
 func (g *TableGraph) KTruss(k int) (*Assoc, error) {
-	out := fmt.Sprintf("%sKT%d", g.name, k)
+	out, err := g.privateTable(fmt.Sprintf("KT%d", k))
+	if err != nil {
+		return nil, err
+	}
+	defer g.db.dropIfExists(out)
 	if _, err := core.KTrussAdjTable(g.db.conn, g.schema.Table, out, k, g.name+"KTs"); err != nil {
 		return nil, err
 	}
@@ -746,29 +750,43 @@ func (g *TableGraph) KTruss(k int) (*Assoc, error) {
 // driver (every round's support matrix lands in a scratch table). Kept
 // as the equivalence and benchmark baseline for the fused driver.
 func (g *TableGraph) KTrussMaterialized(k int) (*Assoc, error) {
-	out := fmt.Sprintf("%sKT%d", g.name, k)
+	out, err := g.privateTable(fmt.Sprintf("KT%d", k))
+	if err != nil {
+		return nil, err
+	}
+	defer g.db.dropIfExists(out)
 	if _, err := core.KTrussAdjTableMaterialized(g.db.conn, g.schema.Table, out, k, g.name+"KTs"); err != nil {
 		return nil, err
 	}
 	return schema.ReadAssoc(g.db.conn, out)
 }
 
-// jaccardSeq numbers Jaccard invocations so each gets private derived
-// tables: fixed names would make concurrent Jaccard calls on one graph
-// race on drop-and-rebuild of each other's in-flight tables.
-var jaccardSeq atomic.Uint64
+// privateTableSeq numbers the per-call output tables privateTable
+// mints.
+var privateTableSeq atomic.Uint64
 
-// jaccardTables mints invocation-unique names for Jaccard's transient
-// degree and output tables; the caller drops both before returning.
-func (g *TableGraph) jaccardTables() (deg, out string) {
-	n := jaccardSeq.Add(1)
-	return fmt.Sprintf("%sJDeg_%d", g.name, n), fmt.Sprintf("%sJOut_%d", g.name, n)
+// privateTable mints a call-unique name for a kernel's transient output
+// table. Those tables carry a ⊕ combiner, so concurrent calls on one
+// graph sharing a fixed name would sum into each other's results; the
+// caller drops the table once it has read it. A table left under the
+// name by an earlier process (a durable cluster reopened after a
+// crash) is dropped first, since it would fold into the new output.
+func (g *TableGraph) privateTable(kind string) (string, error) {
+	name := fmt.Sprintf("%s%s_%d", g.name, kind, privateTableSeq.Add(1))
+	return name, g.db.dropIfExists(name)
 }
 
 // Jaccard computes all-pairs Jaccard coefficients (upper triangle),
 // returning them as an associative array.
 func (g *TableGraph) Jaccard() (*Assoc, error) {
-	deg, out := g.jaccardTables()
+	deg, err := g.privateTable("JDeg")
+	if err != nil {
+		return nil, err
+	}
+	out, err := g.privateTable("JOut")
+	if err != nil {
+		return nil, err
+	}
 	defer func() {
 		g.db.dropIfExists(deg)
 		g.db.dropIfExists(out)
@@ -796,7 +814,14 @@ func (db *DB) dropIfExists(name string) error {
 // driver (the numerator lands in a scratch table). Kept as the
 // equivalence and benchmark baseline for the fused driver.
 func (g *TableGraph) JaccardMaterialized() (*Assoc, error) {
-	deg, out := g.jaccardTables()
+	deg, err := g.privateTable("JDeg")
+	if err != nil {
+		return nil, err
+	}
+	out, err := g.privateTable("JOut")
+	if err != nil {
+		return nil, err
+	}
 	defer func() {
 		g.db.dropIfExists(deg)
 		g.db.dropIfExists(out)
@@ -913,15 +938,14 @@ func (db *DB) TableAssign(tableIn, tableOut, rowOffset, colOffset string, c Scan
 // printed plan is the executed plan. Kernels: mult, apply, degrees,
 // bfs, ktruss, jaccard, tricount, assign.
 func (db *DB) ExplainPlan(kernel, table, out string) (string, error) {
-	return core.ExplainPlan(db.conn, kernel, table, out)
+	return core.ExplainPlan(kernel, table, out)
 }
 
 // ExplainPlan renders a kernel's compiled plan without a cluster: the
-// plan is identical to what a live driver executes, except the
-// planner's adaptive pre-aggregation sizing falls back to its default
-// budget (no table-size estimates to read).
+// plan reads no cluster state, so it is identical to what a live
+// driver executes.
 func ExplainPlan(kernel, table, out string) (string, error) {
-	return core.ExplainPlan(nil, kernel, table, out)
+	return core.ExplainPlan(kernel, table, out)
 }
 
 // ExplainKernels lists the kernel names ExplainPlan accepts.

@@ -210,6 +210,56 @@ func TestConcurrentKTrussNoScratchCollision(t *testing.T) {
 	}
 }
 
+// TestConcurrentDegrees is the Degrees twin of the kTruss collision
+// test: Degrees reduces into a summing output table, so concurrent calls
+// sharing one output name would add into each other's degrees. Each call
+// owns a private table and drops it after reading.
+func TestConcurrentDegrees(t *testing.T) {
+	db := mustOpen(ClusterConfig{TabletServers: 2})
+	defer db.Close()
+	g, err := db.CreateGraph("ConcDeg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Ingest(planTestGraph()); err != nil {
+		t.Fatal(err)
+	}
+	before := db.conn.TableOperations().List()
+	want, err := g.Degrees()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	results := make(chan map[string]float64, 4)
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d, err := g.Degrees()
+			if err != nil {
+				errs <- err
+				return
+			}
+			results <- d
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	close(results)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for d := range results {
+		if !reflect.DeepEqual(d, want) {
+			t.Fatalf("concurrent Degrees diverged:\ngot:  %v\nwant: %v", d, want)
+		}
+	}
+	if after := db.conn.TableOperations().List(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("Degrees leaked output tables: before %v, after %v", before, after)
+	}
+}
+
 // TestTableAssign checks the SpAsgn kernel: entries land in the
 // destination sub-array with row/col offsets prefixed, server-side,
 // honouring the scan constraint.
@@ -262,8 +312,8 @@ func TestTableAssign(t *testing.T) {
 }
 
 // TestExplainPlanSurface checks the explain surface: every kernel
-// compiles, kTruss reports a fused group, and TableMult shows the
-// adaptive pre-aggregation budget.
+// compiles, kTruss reports a fused group, and TableMult shows the fixed
+// pre-aggregation cap.
 func TestExplainPlanSurface(t *testing.T) {
 	db := mustOpen(ClusterConfig{})
 	defer db.Close()
@@ -290,7 +340,71 @@ func TestExplainPlanSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(mult, "pre-agg adaptive") {
-		t.Fatalf("mult explain must show the adaptive pre-agg budget:\n%s", mult)
+	if !strings.Contains(mult, "pre-agg 16777216 B") {
+		t.Fatalf("mult explain must show the 16 MiB pre-agg cap:\n%s", mult)
 	}
+}
+
+// TestServerTableMultWriteVolume pins server TableMult's write volume
+// with work counters instead of timing, on the RMAT scale-8 graph with
+// A and Aᵀ split into four tablets across four tablet servers. The
+// RemoteWrite fold's cap is fixed, so the entries one call writes
+// depend only on the operands: consecutive calls on one cluster and a
+// first call on a fresh cluster write exactly as many entries. And the
+// server-side fold writes at most half of what the thin client writes
+// for the same product — the paper's server-beats-client claim as a
+// deterministic assertion.
+func TestServerTableMultWriteVolume(t *testing.T) {
+	g := rmatGraph(8)
+	open := func() (db *DB, a, at string) {
+		db = mustOpen(ClusterConfig{TabletServers: 4})
+		tg, err := db.CreateGraph("W")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tg.Ingest(g); err != nil {
+			t.Fatal(err)
+		}
+		a, at, _ = tg.Tables()
+		var splits []string
+		for i := 1; i < 4; i++ {
+			splits = append(splits, VertexName(i*g.N/4))
+		}
+		for _, tbl := range []string{a, at} {
+			if err := db.Connector().TableOperations().AddSplits(tbl, splits); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db, a, at
+	}
+	written := func(db *DB, mult func() error) int64 {
+		_, _, before, _ := db.Metrics()
+		if err := mult(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, after, _ := db.Metrics()
+		return after - before
+	}
+	server := func(db *DB, a, at, out string) int64 {
+		return written(db, func() error { _, err := db.TableMult(at, a, out, "plus.times"); return err })
+	}
+
+	db, a, at := open()
+	defer db.Close()
+	first := server(db, a, at, "C1")
+	second := server(db, a, at, "C2")
+	if first == 0 || first != second {
+		t.Fatalf("consecutive server TableMult calls wrote %d then %d entries, want equal and non-zero", first, second)
+	}
+	client := written(db, func() error { _, err := db.TableMultClient(at, a, "Cc", "plus.times"); return err })
+	if 2*first > client {
+		t.Fatalf("server TableMult wrote %d entries, client %d: want server ≤ ½ client", first, client)
+	}
+
+	fresh, fa, fat := open()
+	defer fresh.Close()
+	if got := server(fresh, fa, fat, "C1"); got != first {
+		t.Fatalf("first call on a fresh cluster wrote %d entries, want %d as on the warm cluster", got, first)
+	}
+	t.Logf("server writes %d entries per call, client %d", first, client)
 }

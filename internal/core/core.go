@@ -72,10 +72,9 @@ func (c ScanConstraint) colSetting(priority int) (iterator.Setting, bool) {
 	}}, true
 }
 
-// DefaultPreAggBytes is the ceiling of the RemoteWrite pre-aggregation
-// buffer — the planner's adaptive sizing (see plan.Compile) never
-// exceeds it, and it is the budget used when no density observations
-// exist. Tune per kernel with MultOptions.PreAggBytes.
+// DefaultPreAggBytes caps the RemoteWrite pre-aggregation buffer of a
+// multiply whose MultOptions.PreAggBytes is 0: the buffer grows on
+// demand and spills only when it reaches the cap.
 const DefaultPreAggBytes = plan.DefaultPreAggBytes
 
 // MultOptions configures TableMult.
@@ -94,13 +93,13 @@ type MultOptions struct {
 	// rfiles prune too); ColQStart/ColQEnd bound B's column qualifiers,
 	// i.e. C's columns.
 	Constraint ScanConstraint
-	// PreAggBytes bounds the RemoteWrite pre-aggregation buffer: partial
-	// products are ⊕-folded per output cell where they are produced and
-	// only folded cells cross the write path, spilling at capacity. 0
-	// lets the planner size the buffer from the operand's entry estimate
-	// and the cluster's observed fold ratio, clamped to at most
-	// DefaultPreAggBytes; negative disables pre-aggregation. Results are
-	// cell-identical either way; only write volume changes.
+	// PreAggBytes caps the RemoteWrite pre-aggregation buffer: partial
+	// products are ⊕-folded per output cell in the tablet pass that
+	// produces them, and only folded cells cross the write path. The
+	// buffer grows on demand and spills to the result table when it
+	// reaches the cap. 0 means DefaultPreAggBytes; negative disables
+	// pre-aggregation. Results are cell-identical either way; only the
+	// write volume changes.
 	PreAggBytes int
 	// Query attaches the multiply to a caller-owned telemetry query —
 	// composite kernels (kTruss, Jaccard, PageRank, …) thread theirs
@@ -133,26 +132,9 @@ func planEnv(conn *accumulo.Connector, q *telemetry.Query) plan.Env {
 
 // planOptions builds compilation options for a kernel: scratch tables
 // are suffixed with the query's trace id so concurrent kernels on the
-// same tables never collide, and the planner's adaptive decisions read
-// the cluster's table-size estimates and historical fold ratio.
-func planOptions(conn *accumulo.Connector, kernel, scratchBase string, q *telemetry.Query) plan.Options {
-	m := &conn.Cluster().Metrics
-	return plan.Options{
-		Kernel:      kernel,
-		ScratchBase: scratchBase,
-		TraceID:     q.Trace().String(),
-		Stats: plan.Stats{
-			EntryEstimate: func(table string) int {
-				n, err := conn.TableOperations().EntryEstimate(table)
-				if err != nil {
-					return 0
-				}
-				return n
-			},
-			Folded:  m.PartialProductsFolded.Load(),
-			Written: m.EntriesWritten.Load(),
-		},
-	}
+// same tables never collide.
+func planOptions(kernel, scratchBase string, q *telemetry.Query) plan.Options {
+	return plan.Options{Kernel: kernel, ScratchBase: scratchBase, TraceID: q.Trace().String()}
 }
 
 // runPlan compiles and executes a node tree under the kernel's query.
@@ -164,7 +146,7 @@ func runPlan(conn *accumulo.Connector, root *plan.Node, kernel, scratchBase stri
 // step hands entries to visit as they arrive instead of accumulating
 // them in the result.
 func runPlanVisit(conn *accumulo.Connector, root *plan.Node, kernel, scratchBase string, q *telemetry.Query, visit func(skv.Entry) error) (*plan.Result, error) {
-	p, err := plan.Compile(root, planOptions(conn, kernel, scratchBase, q))
+	p, err := plan.Compile(root, planOptions(kernel, scratchBase, q))
 	if err != nil {
 		return nil, err
 	}

@@ -56,6 +56,18 @@ type FamilyEnv interface {
 	OpenScannerFamilies(table string, rng skv.Range, families []string) (SKVI, error)
 }
 
+// FloatSource is optionally implemented by iterators whose entries are
+// numbers before they are bytes — the TwoTableIterator's partial
+// products. A consumer that folds numerically (RemoteWrite's
+// pre-aggregation) reads TopFloat instead of decoding Top().V, so a
+// value is formatted as decimal once per folded cell rather than once
+// per product; any other source falls back to skv.DecodeFloat.
+type FloatSource interface {
+	// TopFloat returns the current entry's key and numeric value; only
+	// valid when HasTop.
+	TopFloat() (skv.Key, float64)
+}
+
 // OpenScannerFamilies opens a family-constrained scanner through env,
 // pushing the constraint down when env supports it and falling back to
 // a client-side per-entry family filter when it does not — the result

@@ -2,7 +2,7 @@ package iterator
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"graphulo/internal/semiring"
@@ -88,6 +88,11 @@ func (r *RemoteSourceIterator) Next() error { return r.inner.Next() }
 // multiply — and emits partial products of C = Aᵀ·B under the configured
 // semiring. Output within one inner row is sorted; across inner rows it
 // is not, so a RemoteWriteIterator (not a raw scan) must consume it.
+//
+// Products stay float64 until a consumer asks for bytes: Top encodes
+// the current product on demand, while a folding consumer reads
+// TopFloat (FloatSource) and never pays a decimal format-and-parse per
+// product.
 type TwoTableIterator struct {
 	src    SKVI
 	remote SKVI
@@ -100,8 +105,20 @@ type TwoTableIterator struct {
 	// SpRef push-down — instead of the full table.
 	band skv.Range
 
-	buf []skv.Entry // partial products of the current inner row
+	buf []product // partial products of the current inner row
 	pos int
+
+	// Row buffers reused across inner rows: the two aligned rows and
+	// B's numeric cells, decoded once per row rather than once per
+	// product.
+	aRow, bRow []skv.Entry
+	bNum       []product
+}
+
+// product is one ⊗ result (or one decoded B cell) before encoding.
+type product struct {
+	k skv.Key
+	v float64
 }
 
 // NewTwoTableIterator builds the multiply iterator. src iterates table B;
@@ -122,7 +139,6 @@ func (t *TwoTableIterator) Seek(rng skv.Range) error {
 	if err := t.remote.Seek(t.band); err != nil {
 		return err
 	}
-	t.buf, t.pos = nil, 0
 	return t.fill()
 }
 
@@ -144,15 +160,14 @@ func (t *TwoTableIterator) fill() error {
 				return err
 			}
 		default:
-			aEntries, err := t.readRow(t.remote, aRow)
-			if err != nil {
+			var err error
+			if t.aRow, err = readRow(t.remote, aRow, t.aRow[:0]); err != nil {
 				return err
 			}
-			bEntries, err := t.readRow(t.src, bRow)
-			if err != nil {
+			if t.bRow, err = readRow(t.src, bRow, t.bRow[:0]); err != nil {
 				return err
 			}
-			t.cross(aEntries, bEntries)
+			t.cross()
 			if len(t.buf) > 0 {
 				return nil
 			}
@@ -179,9 +194,8 @@ func (t *TwoTableIterator) seekRowFrom(it SKVI, row string) error {
 	return nil
 }
 
-// readRow consumes every entry of the given row from it.
-func (t *TwoTableIterator) readRow(it SKVI, row string) ([]skv.Entry, error) {
-	var out []skv.Entry
+// readRow appends every entry of the given row from it to out.
+func readRow(it SKVI, row string, out []skv.Entry) ([]skv.Entry, error) {
 	for it.HasTop() && it.Top().K.Row == row {
 		out = append(out, it.Top())
 		if err := it.Next(); err != nil {
@@ -191,38 +205,53 @@ func (t *TwoTableIterator) readRow(it SKVI, row string) ([]skv.Entry, error) {
 	return out, nil
 }
 
-// cross emits ⊗-products of the two row slices into buf: for AT entry
+// cross emits ⊗-products of the aligned rows into buf: for AT entry
 // (i, j → a) and B entry (i, k → b), the partial product is
-// (j, k → a ⊗ b).
-func (t *TwoTableIterator) cross(aEntries, bEntries []skv.Entry) {
-	for _, ae := range aEntries {
+// (j, k → a ⊗ b). Both rows arrive sorted, so when each lies in one
+// column family the products come out sorted already; one linear check
+// confirms it, and only rows mixing families pay for a sort.
+func (t *TwoTableIterator) cross() {
+	t.bNum = t.bNum[:0]
+	for _, be := range t.bRow {
+		if bv, ok := skv.DecodeFloat(be.V); ok {
+			t.bNum = append(t.bNum, product{k: be.K, v: bv})
+		}
+	}
+	for _, ae := range t.aRow {
 		av, ok := skv.DecodeFloat(ae.V)
 		if !ok {
 			continue
 		}
-		for _, be := range bEntries {
-			bv, ok := skv.DecodeFloat(be.V)
-			if !ok {
-				continue
-			}
-			p := t.ring.Mul(av, bv)
+		for _, b := range t.bNum {
+			p := t.ring.Mul(av, b.v)
 			if t.ring.IsZero(p) {
 				continue
 			}
-			t.buf = append(t.buf, skv.Entry{
-				K: skv.Key{Row: ae.K.ColQ, ColF: "", ColQ: be.K.ColQ},
-				V: skv.EncodeFloat(p),
-			})
+			t.buf = append(t.buf, product{k: skv.Key{Row: ae.K.ColQ, ColQ: b.k.ColQ}, v: p})
 		}
 	}
-	sort.Slice(t.buf, func(i, j int) bool { return skv.Compare(t.buf[i].K, t.buf[j].K) < 0 })
+	for i := 1; i < len(t.buf); i++ {
+		if skv.Compare(t.buf[i-1].k, t.buf[i].k) > 0 {
+			slices.SortStableFunc(t.buf, func(x, y product) int { return skv.Compare(x.k, y.k) })
+			return
+		}
+	}
 }
 
 // HasTop implements SKVI.
 func (t *TwoTableIterator) HasTop() bool { return t.pos < len(t.buf) }
 
-// Top implements SKVI.
-func (t *TwoTableIterator) Top() skv.Entry { return t.buf[t.pos] }
+// Top implements SKVI, encoding the current product's value on demand.
+func (t *TwoTableIterator) Top() skv.Entry {
+	p := t.buf[t.pos]
+	return skv.Entry{K: p.k, V: skv.EncodeFloat(p.v)}
+}
+
+// TopFloat implements FloatSource: the current product unencoded.
+func (t *TwoTableIterator) TopFloat() (skv.Key, float64) {
+	p := t.buf[t.pos]
+	return p.k, p.v
+}
 
 // Next implements SKVI.
 func (t *TwoTableIterator) Next() error {
@@ -344,7 +373,9 @@ func (w *RemoteWriteIterator) drainDirect() error {
 const aggCellOverhead = 64
 
 // drainFolded is the pre-aggregating drain: numeric entries fold per
-// cell under ⊕, spilling when the buffer estimate passes preAggBytes.
+// cell under ⊕ in a map that grows on demand, spilling when its
+// estimate reaches preAggBytes. A FloatSource hands its values over as
+// float64; any other source's values are decoded from bytes.
 func (w *RemoteWriteIterator) drainFolded() error {
 	agg := make(map[skv.Key]float64)
 	aggBytes, folded := 0, 0
@@ -358,12 +389,9 @@ func (w *RemoteWriteIterator) drainFolded() error {
 		}
 		// Sorted spills keep batch boundaries deterministic for a given
 		// input, which the equivalence tests lean on.
-		sort.Slice(cells, func(i, j int) bool { return skv.Compare(cells[i].K, cells[j].K) < 0 })
+		slices.SortFunc(cells, func(a, b skv.Entry) int { return skv.Compare(a.K, b.K) })
 		for len(cells) > 0 {
-			n := w.batchSize
-			if n > len(cells) {
-				n = len(cells)
-			}
+			n := min(w.batchSize, len(cells))
 			if err := w.flushBatch(cells[:n]); err != nil {
 				return err
 			}
@@ -373,11 +401,22 @@ func (w *RemoteWriteIterator) drainFolded() error {
 		aggBytes = 0
 		return nil
 	}
+	floats, _ := w.src.(FloatSource)
 	var raw []skv.Entry // non-numeric values pass through unfolded
 	for w.src.HasTop() {
-		e := w.src.Top()
-		if v, ok := skv.DecodeFloat(e.V); ok {
-			cell := e.K
+		var cell skv.Key
+		var v float64
+		ok := true
+		if floats != nil {
+			cell, v = floats.TopFloat()
+		} else {
+			e := w.src.Top()
+			cell = e.K
+			if v, ok = skv.DecodeFloat(e.V); !ok {
+				raw = append(raw, e)
+			}
+		}
+		if ok {
 			cell.Ts = 0 // fold per logical cell; stamps are assigned at write time
 			if acc, dup := agg[cell]; dup {
 				agg[cell] = w.ring.Add(acc, v)
@@ -391,14 +430,11 @@ func (w *RemoteWriteIterator) drainFolded() error {
 					return err
 				}
 			}
-		} else {
-			raw = append(raw, e)
-			if len(raw) >= w.batchSize {
-				if err := w.flushBatch(raw); err != nil {
-					return err
-				}
-				raw = raw[:0]
+		} else if len(raw) >= w.batchSize {
+			if err := w.flushBatch(raw); err != nil {
+				return err
 			}
+			raw = raw[:0]
 		}
 		if err := w.src.Next(); err != nil {
 			return err

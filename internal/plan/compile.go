@@ -20,22 +20,12 @@ func scanOpLabel(source string, c Constraint) string {
 	return "scan " + source + " [cf " + strings.Join(c.Families, ",") + "]"
 }
 
-// DefaultPreAggBytes is the ceiling of the planner's adaptive
-// RemoteWrite pre-aggregation budget (and the fixed budget used when no
-// density observations exist): 16 MiB holds the distinct-cell working
-// set of a power-law multiply at benchmark scale while keeping a kernel
-// pass memory-bounded.
+// DefaultPreAggBytes caps the RemoteWrite fold buffer of a multiply
+// chain whose Write leaves PreAggBytes at 0. The buffer starts empty and
+// grows on demand, spilling only at the cap: 16 MiB holds the
+// distinct-cell working set of a power-law multiply pass at benchmark
+// scale while keeping a kernel pass memory-bounded.
 const DefaultPreAggBytes = 16 << 20
-
-// MinPreAggBytes floors the adaptive budget: below this the fold map
-// spills before it can absorb anything, so a smaller buffer only adds
-// sort-and-flush churn.
-const MinPreAggBytes = 256 << 10
-
-// preAggCellBytes approximates the buffered cost of one distinct output
-// cell in the RemoteWrite fold map: the 64-byte map/entry overhead the
-// iterator charges plus typical row/colQ key material.
-const preAggCellBytes = 96
 
 // SinkKind says where a step's surviving entries go.
 type SinkKind int
@@ -63,11 +53,8 @@ type Step struct {
 	OutTable   string
 	Semiring   string
 	BatchSize  int
-	// PreAggBytes is the resolved RemoteWrite fold budget (0 = off).
+	// PreAggBytes is the resolved RemoteWrite fold cap (0 = off).
 	PreAggBytes int
-	// Adaptive records that PreAggBytes was sized by the planner from
-	// observed distinct-cell density rather than fixed by the caller.
-	Adaptive bool
 	// Scratch marks a planner-created intermediate table that Execute
 	// drops when the plan finishes.
 	Scratch bool
@@ -91,19 +78,6 @@ func (s Step) Fused() bool {
 	return false
 }
 
-// Stats carries the observations the planner's adaptive decisions read.
-type Stats struct {
-	// EntryEstimate returns the approximate entry count of a table
-	// (0/absent = unknown) — the distinct-cell density proxy for sizing
-	// the pre-aggregation buffer.
-	EntryEstimate func(table string) int
-	// Folded and Written are the cumulative pre-aggregation counters
-	// from prior kernel passes (Metrics.PartialProductsFolded and
-	// EntriesWritten): their ratio estimates how many partial products
-	// collapse into one output cell on this cluster's workloads.
-	Folded, Written int64
-}
-
 // Options parameterises compilation.
 type Options struct {
 	// Kernel names the kernel for explain output and telemetry spans.
@@ -113,8 +87,6 @@ type Options struct {
 	// the same tables from clobbering each other's intermediates.
 	ScratchBase string
 	TraceID     string
-	// Stats feeds the adaptive pre-aggregation decision.
-	Stats Stats
 }
 
 // Plan is a compiled kernel: steps execute in order, each one a single
@@ -202,9 +174,7 @@ func Compile(root *Node, opts Options) (*Plan, error) {
 		if sem == "" {
 			sem = "plus.times"
 		}
-		preAgg, adaptive := resolvePreAgg(root.PreAggBytes, c, opts)
-		step := finalize(c, SinkWrite, root.OutTable, sem, root.BatchSize, preAgg)
-		step.Adaptive = adaptive
+		step := finalize(c, SinkWrite, root.OutTable, sem, root.BatchSize, resolvePreAgg(root.PreAggBytes, c))
 		step.Ops = append(step.Ops, "write "+root.OutTable)
 		p.Steps = append(p.Steps, step)
 	case OpCollect:
@@ -321,9 +291,7 @@ func materialize(c chain, p *Plan, opts Options) (chain, error) {
 	if sem == "" {
 		sem = "plus.times"
 	}
-	preAgg, adaptive := resolvePreAgg(0, c, opts)
-	step := finalize(c, SinkWrite, name, sem, 4096, preAgg)
-	step.Adaptive = adaptive
+	step := finalize(c, SinkWrite, name, sem, 4096, resolvePreAgg(0, c))
 	step.Scratch = true
 	step.Ops = append(step.Ops, "materialize "+name)
 	p.Steps = append(p.Steps, step)
@@ -388,50 +356,21 @@ func finalize(c chain, sink SinkKind, outTable, semiring string, batchSize, preA
 }
 
 // resolvePreAgg turns a Write node's PreAggBytes request into the
-// concrete RemoteWrite budget: caller-fixed when positive, off when
-// negative, and otherwise the planner's adaptive estimate from observed
-// distinct-cell density. Chains without a multiply carry at most one
-// entry per input cell, so pre-aggregation buys nothing there and stays
-// off — matching the materializing OneTable path.
-func resolvePreAgg(requested int, c chain, opts Options) (bytes int, adaptive bool) {
+// concrete RemoteWrite fold cap: caller-fixed when positive, off when
+// negative, and otherwise DefaultPreAggBytes. Chains without a multiply
+// carry at most one entry per input cell, so pre-aggregation buys
+// nothing there and stays off — matching the materializing OneTable
+// path.
+func resolvePreAgg(requested int, c chain) int {
 	switch {
 	case requested < 0:
-		return 0, false
+		return 0
 	case requested > 0:
-		return requested, false
-	}
-	if !c.hasMult {
-		return 0, false
-	}
-	return adaptivePreAggBytes(opts.Stats, c.source), true
-}
-
-// adaptivePreAggBytes sizes the fold buffer so one tablet pass's
-// distinct output cells fit: the hosted operand's entry estimate bounds
-// the distinct cells a pass can touch, scaled by the historically
-// observed products-per-cell expansion, clamped to
-// [MinPreAggBytes, DefaultPreAggBytes]. With no observations the
-// default (former fixed) budget stands.
-func adaptivePreAggBytes(st Stats, source string) int {
-	if st.EntryEstimate == nil {
+		return requested
+	case c.hasMult:
 		return DefaultPreAggBytes
 	}
-	est := st.EntryEstimate(source)
-	if est <= 0 {
-		return DefaultPreAggBytes
-	}
-	expansion := 2.0 // products per distinct cell when nothing observed yet
-	if st.Written > 0 && st.Folded > 0 {
-		expansion = 1 + float64(st.Folded)/float64(st.Written)
-	}
-	bytes := int(float64(est) * expansion * preAggCellBytes)
-	if bytes < MinPreAggBytes {
-		return MinPreAggBytes
-	}
-	if bytes > DefaultPreAggBytes {
-		return DefaultPreAggBytes
-	}
-	return bytes
+	return 0
 }
 
 // applyLabel compresses an Apply node's settings into one label.

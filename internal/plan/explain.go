@@ -40,14 +40,10 @@ func opSuffix(s Step, op string) string {
 	return ""
 }
 
-// preAggLabel names the step's resolved RemoteWrite fold budget.
+// preAggLabel names the step's resolved RemoteWrite fold cap.
 func preAggLabel(s Step) string {
-	switch {
-	case s.PreAggBytes <= 0:
+	if s.PreAggBytes <= 0 {
 		return "off"
-	case s.Adaptive:
-		return fmt.Sprintf("adaptive %d B", s.PreAggBytes)
-	default:
-		return fmt.Sprintf("%d B", s.PreAggBytes)
 	}
+	return fmt.Sprintf("%d B", s.PreAggBytes)
 }

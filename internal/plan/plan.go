@@ -131,7 +131,7 @@ type Node struct {
 	// OpWrite
 	OutTable    string
 	BatchSize   int
-	PreAggBytes int // 0 = planner-adaptive, negative = disabled
+	PreAggBytes int // 0 = DefaultPreAggBytes on a multiply chain, negative = disabled
 
 	// OpCollect
 	Fold bool
@@ -182,8 +182,9 @@ func SpAsgn(in *Node, rowOffset, colOffset string) *Node {
 }
 
 // Write sinks the input stream into a table server-side under the
-// semiring's ⊕ combiner. preAggBytes 0 lets the planner size the
-// RemoteWrite fold buffer adaptively; negative disables pre-aggregation.
+// semiring's ⊕ combiner. preAggBytes caps the RemoteWrite fold buffer:
+// 0 means DefaultPreAggBytes when the chain multiplies (and off
+// otherwise); negative disables pre-aggregation.
 func Write(in *Node, table, semiring string, batchSize, preAggBytes int) *Node {
 	if semiring == "" {
 		semiring = "plus.times"

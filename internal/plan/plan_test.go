@@ -132,49 +132,20 @@ func TestResolvePreAgg(t *testing.T) {
 	multChain := chain{source: "A", hasMult: true}
 	plainChain := chain{source: "A"}
 
-	if b, ad := resolvePreAgg(-1, multChain, Options{}); b != 0 || ad {
-		t.Fatalf("negative request: got (%d,%v), want (0,false)", b, ad)
+	if b := resolvePreAgg(-1, multChain); b != 0 {
+		t.Fatalf("negative request: got %d, want 0", b)
 	}
-	if b, ad := resolvePreAgg(1234, multChain, Options{}); b != 1234 || ad {
-		t.Fatalf("positive request: got (%d,%v), want (1234,false)", b, ad)
+	if b := resolvePreAgg(1234, multChain); b != 1234 {
+		t.Fatalf("positive request: got %d, want 1234", b)
 	}
-	if b, ad := resolvePreAgg(0, plainChain, Options{}); b != 0 || ad {
-		t.Fatalf("no-mult chain: got (%d,%v), want (0,false) — nothing to fold", b, ad)
+	if b := resolvePreAgg(0, plainChain); b != 0 {
+		t.Fatalf("no-mult chain: got %d, want 0 — nothing to fold", b)
 	}
-	if b, ad := resolvePreAgg(0, multChain, Options{}); b != DefaultPreAggBytes || !ad {
-		t.Fatalf("adaptive with no stats: got (%d,%v), want (%d,true)", b, ad, DefaultPreAggBytes)
-	}
-}
-
-func TestAdaptivePreAggBytes(t *testing.T) {
-	est := func(n int) Stats {
-		return Stats{EntryEstimate: func(string) int { return n }}
-	}
-	if got := adaptivePreAggBytes(Stats{}, "A"); got != DefaultPreAggBytes {
-		t.Fatalf("no estimator: %d, want default", got)
-	}
-	if got := adaptivePreAggBytes(est(0), "A"); got != DefaultPreAggBytes {
-		t.Fatalf("zero estimate: %d, want default", got)
-	}
-	// Tiny table clamps to the floor.
-	if got := adaptivePreAggBytes(est(10), "A"); got != MinPreAggBytes {
-		t.Fatalf("tiny table: %d, want floor %d", got, MinPreAggBytes)
-	}
-	// Huge table clamps to the ceiling.
-	if got := adaptivePreAggBytes(est(10_000_000), "A"); got != DefaultPreAggBytes {
-		t.Fatalf("huge table: %d, want ceiling %d", got, DefaultPreAggBytes)
-	}
-	// Mid-size table lands between the clamps and scales with the
-	// observed fold ratio.
-	mid := Stats{EntryEstimate: func(string) int { return 20_000 }}
-	base := adaptivePreAggBytes(mid, "A")
-	if base <= MinPreAggBytes || base >= DefaultPreAggBytes {
-		t.Fatalf("mid-size budget %d not between clamps", base)
-	}
-	mid.Folded, mid.Written = 300, 100 // 3 products fold per written cell
-	grown := adaptivePreAggBytes(mid, "A")
-	if grown <= base {
-		t.Fatalf("observed folding should grow the budget: %d -> %d", base, grown)
+	// The default on a multiply chain is the fixed cap: the fold buffer
+	// grows on demand up to it, independent of table sizes or of what
+	// earlier kernels wrote.
+	if b := resolvePreAgg(0, multChain); b != DefaultPreAggBytes {
+		t.Fatalf("multiply chain default: got %d, want %d", b, DefaultPreAggBytes)
 	}
 }
 
