@@ -32,8 +32,8 @@
 // table in client or server memory — and a pre-split table's kernel
 // passes run on multiple cores at once, which is how the paper's
 // kernels scale with the number of tablet servers. The
-// Metrics.ScansInFlight and Metrics.MaxEntriesBuffered gauges make both
-// properties observable.
+// ScanStats.MaxScansInFlight and ScanStats.MaxEntriesBuffered gauges
+// make both properties observable.
 //
 // Every batch in that flow crosses a transport between client and
 // tablet server. ClusterConfig.Transport selects the wire: "inproc"
@@ -58,7 +58,10 @@
 // their on-disk runs, then WAL replay restores writes that were never
 // flushed — including after a crash, where replay stops cleanly at the
 // last record whose checksum verifies. Use OpenGraph to reattach to a
-// recovered TableGraph, and Close for a clean shutdown.
+// recovered TableGraph, and Close for a clean shutdown. An open cluster
+// holds an exclusive lock on its directory (a LOCK file), so a second
+// Open of a live directory fails instead of racing its background
+// flushes.
 //
 // The durable read path is served through a shared block cache (each
 // rfile block is read, CRC-checked, and decoded once while resident)
@@ -72,7 +75,6 @@ package graphulo
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -250,122 +252,10 @@ var (
 	NewTweets     = gen.NewTweetCorpus
 )
 
-// ClusterConfig sizes the embedded NoSQL cluster.
-type ClusterConfig struct {
-	// TabletServers is the number of tablet server instances (default 2).
-	TabletServers int
-	// MemLimit bounds each tablet's memtable before auto-compaction.
-	MemLimit int
-	// WireBatch is the entries-per-RPC batch size.
-	WireBatch int
-	// ScanParallelism bounds how many tablets one scan or kernel pass
-	// executes concurrently (default 4). Pre-split tables let TableMult
-	// and friends use up to this many cores per call; each scan buffers
-	// only this many wire batches regardless of table size.
-	ScanParallelism int
-	// Transport selects the wire the data plane crosses: "inproc"
-	// (default) keeps every tablet server in the process behind the
-	// serialised codec; "tcp" gives each tablet server its own loopback
-	// socket so every scan batch, write batch, and tablet→tablet kernel
-	// flow crosses a real connection. Kernels produce identical results
-	// on both.
-	Transport string
-	// Servers lists external tablet-server endpoints (host:port)
-	// started with `graphulo serve`: tablets are hosted by those
-	// processes and all data-plane traffic crosses process — or machine
-	// — boundaries. Implies the tcp transport; external clusters are
-	// in-memory only and do not support tablet-level admin (splits,
-	// flush, compact).
-	Servers []string
-	// DataDir, when non-empty, makes the cluster durable: all tables
-	// persist under this directory and a later Open on it recovers
-	// them (manifest + WAL replay). Empty keeps the cluster in memory.
-	DataDir string
-	// NoSync skips per-write WAL fsyncs in durable mode, trading crash
-	// durability for ingest speed (benchmarks, bulk loads).
-	NoSync bool
-	// BlockCacheBytes bounds the shared rfile block cache of a durable
-	// cluster, so repeated kernel scans decode each block once instead
-	// of re-reading it from disk (0 selects the 32 MiB default;
-	// negative disables caching).
-	BlockCacheBytes int64
-	// BloomFilterBits sizes per-rfile row bloom filters in bits per
-	// distinct row, letting single-row reads (BFS expansions, point
-	// lookups) skip files that cannot contain the row (0 selects the
-	// default of 10; negative disables the filters).
-	BloomFilterBits int
-	// ColQBloomBits sizes per-rfile (row, column-qualifier) bloom
-	// filters in bits per distinct pair, letting cell-confined reads
-	// (edge existence probes via HasEdge, single-cell lookups) skip
-	// files that cannot contain the pair (0 selects the default of 10;
-	// negative disables the filters).
-	ColQBloomBits int
-	// MemtableFlushBytes freezes a tablet's memtable for background
-	// flush once its approximate in-memory size reaches this many
-	// bytes, whichever of it and MemLimit (entry count) trips first —
-	// wide values spill on bytes, narrow values on count (0 selects the
-	// 64 MiB default; negative disables the byte trigger).
-	MemtableFlushBytes int
-	// MemtableMaxFrozen bounds how many frozen memtables may queue for
-	// background flush per tablet before writers stall (0 selects the
-	// default of 2). Larger values absorb longer ingest bursts at the
-	// cost of more memory pinned behind the flush pipeline.
-	MemtableMaxFrozen int
-	// MaxRunsPerTablet, when positive, enables the background
-	// compaction scheduler on durable tables: tablets whose run count
-	// exceeds the threshold have a group of similar-sized runs merged
-	// (size-tiered picking), keeping scan merge width bounded under
-	// sustained ingest without rewriting the largest runs on every
-	// pass. 0 or negative keeps major compaction manual.
-	MaxRunsPerTablet int
-	// MetricsAddr, when non-empty, serves the coordinator's telemetry
-	// over HTTP on the address (host:port; ":0" picks a port, see
-	// DB.MetricsAddr): Prometheus-text /metrics, JSON /queries with
-	// per-query span trees, and /debug/pprof. Empty keeps telemetry
-	// in-process only.
-	MetricsAddr string
-	// SlowQueryThreshold, when positive, logs every kernel query whose
-	// end-to-end duration reaches it as one structured JSON line on
-	// SlowQueryLog.
-	SlowQueryThreshold time.Duration
-	// SlowQueryLog receives slow-query lines (default os.Stderr).
-	SlowQueryLog io.Writer
-	// DefaultTenant labels kernel queries that carry no explicit tenant
-	// (MultOptions.Tenant, AdjBFSOptions.Tenant) for fair-share
-	// scheduling, budgets, and per-tenant telemetry ("" = "default").
-	DefaultTenant string
-	// MaxConcurrentQueries bounds kernel queries admitted concurrently;
-	// excess queries wait in the admission queue (0 selects the default
-	// of 64; negative disables the bound).
-	MaxConcurrentQueries int
-	// MaxQueuedQueries bounds the admission queue; a query arriving with
-	// the queue full is rejected with an AdmissionError instead of
-	// waiting (0 selects the default of 256; negative rejects whenever
-	// all slots are busy).
-	MaxQueuedQueries int
-	// MaxConcurrentPasses, when positive, bounds physical tablet scan
-	// passes executing concurrently across all queries. Passes beyond
-	// the bound wait in per-tenant weighted fair queues, and compatible
-	// whole-tablet scans that queue together fold onto one physical pass
-	// (ScanStats.SharedScanFolds). 0 or negative leaves passes bounded
-	// only by ScanParallelism per scan.
-	MaxConcurrentPasses int
-	// TenantWeights sets relative fair-share weights for pass
-	// scheduling; unlisted tenants get weight 1.
-	TenantWeights map[string]int
-	// ScanEntryBudget, when positive, caps entries a single query may
-	// scan; exceeding it cancels the query with a BudgetError surfaced
-	// through the kernel's error return.
-	ScanEntryBudget int64
-	// WriteByteBudget, when positive, caps wire bytes a single query may
-	// write; exceeding it cancels the query with a BudgetError.
-	WriteByteBudget int64
-	// CacheTenantSoftCapBytes, when positive, soft-caps each tenant's
-	// share of the rfile block cache: a tenant over its cap evicts its
-	// own least-recent blocks first, so one tenant's table sweep cannot
-	// purge every other tenant's working set.
-	CacheTenantSoftCapBytes int64
-}
+// ClusterConfig sizes the embedded NoSQL cluster; each field is
+// documented on the definition it aliases. Zero values select the
+// defaults.
+type ClusterConfig = accumulo.Config
 
 // AdmissionError is the error a kernel call fails with (wrapped — use
 // errors.As) when the cluster's admission queue is full: the call never
@@ -399,36 +289,7 @@ type DB struct {
 // settings, and data (on-disk rfiles plus write-ahead-log replay for
 // writes that were never flushed, e.g. after a crash).
 func Open(cfg ClusterConfig) (*DB, error) {
-	mc, err := accumulo.OpenMiniCluster(accumulo.Config{
-		TabletServers:    cfg.TabletServers,
-		MemLimit:         cfg.MemLimit,
-		WireBatch:        cfg.WireBatch,
-		ScanParallelism:  cfg.ScanParallelism,
-		Transport:        cfg.Transport,
-		Servers:          cfg.Servers,
-		DataDir:          cfg.DataDir,
-		NoSync:           cfg.NoSync,
-		BlockCacheBytes:  cfg.BlockCacheBytes,
-		BloomFilterBits:  cfg.BloomFilterBits,
-		ColQBloomBits:    cfg.ColQBloomBits,
-		MaxRunsPerTablet: cfg.MaxRunsPerTablet,
-
-		MemtableFlushBytes: cfg.MemtableFlushBytes,
-		MemtableMaxFrozen:  cfg.MemtableMaxFrozen,
-
-		MetricsAddr:        cfg.MetricsAddr,
-		SlowQueryThreshold: cfg.SlowQueryThreshold,
-		SlowQueryLog:       cfg.SlowQueryLog,
-
-		DefaultTenant:           cfg.DefaultTenant,
-		MaxConcurrentQueries:    cfg.MaxConcurrentQueries,
-		MaxQueuedQueries:        cfg.MaxQueuedQueries,
-		MaxConcurrentPasses:     cfg.MaxConcurrentPasses,
-		TenantWeights:           cfg.TenantWeights,
-		ScanEntryBudget:         cfg.ScanEntryBudget,
-		WriteByteBudget:         cfg.WriteByteBudget,
-		CacheTenantSoftCapBytes: cfg.CacheTenantSoftCapBytes,
-	})
+	mc, err := accumulo.OpenMiniCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -446,8 +307,8 @@ func (db *DB) Connector() *accumulo.Connector { return db.conn }
 
 // Metrics returns cumulative wire/RPC/entry counters.
 func (db *DB) Metrics() (wireBytes, rpcs, written, scanned int64) {
-	m := &db.cluster.Metrics
-	return m.WireBytes.Load(), m.RPCs.Load(), m.EntriesWritten.Load(), m.EntriesScanned.Load()
+	k := db.cluster.Counts()
+	return k[telemetry.WireBytes], k[telemetry.RPCs], k[telemetry.EntriesWritten], k[telemetry.EntriesScanned]
 }
 
 // ScanStats snapshots the read-path metrics: the streaming-pipeline
@@ -516,32 +377,31 @@ type ScanStats struct {
 	SharedScanFolds int64
 }
 
-// ScanMetrics snapshots the read-path gauges and counters; the storage
-// fields are zero for an in-memory cluster.
+// ScanMetrics snapshots the read-path gauges and counters from one
+// counter snapshot; the storage fields are zero for an in-memory
+// cluster.
 func (db *DB) ScanMetrics() ScanStats {
 	m := &db.cluster.Metrics
-	st := db.cluster.StorageStats()
-	ing := db.cluster.IngestStats()
+	k := db.cluster.Counts()
 	return ScanStats{
 		ScansInFlight:      m.ScansInFlight.Load(),
 		MaxScansInFlight:   m.MaxScansInFlight.Load(),
 		MaxEntriesBuffered: m.MaxEntriesBuffered.Load(),
-		CacheHits:          st.CacheHits,
-		CacheMisses:        st.CacheMisses,
-		BloomNegatives:     st.BloomNegatives,
-		ColQBloomNegatives: st.ColQBloomNegatives,
 
-		LocalityBlocksSkipped: st.LocalityBlocksSkipped,
-		MemtableFreezes:       ing.Freezes.Load(),
-		WriteStallNanos:       ing.StallNanos.Load(),
-		MajorCompactions:      m.MajorCompactions.Load(),
-
-		TabletScans:           m.TabletScans.Load(),
-		TabletsPrunedByRange:  m.TabletsPrunedByRange.Load(),
-		EntriesPrunedByRange:  m.EntriesPrunedByRange.Load(),
-		PartialProductsFolded: m.PartialProductsFolded.Load(),
-		ScratchTablesCreated:  m.ScratchTablesCreated.Load(),
-		SharedScanFolds:       m.SharedScanFolds.Load(),
+		CacheHits:             k[telemetry.CacheHits],
+		CacheMisses:           k[telemetry.CacheMisses],
+		BloomNegatives:        k[telemetry.BloomNegatives],
+		ColQBloomNegatives:    k[telemetry.ColQBloomNegatives],
+		LocalityBlocksSkipped: k[telemetry.LocalityBlocksSkipped],
+		MemtableFreezes:       k[telemetry.MemtableFreezes],
+		WriteStallNanos:       k[telemetry.WriteStallNanos],
+		MajorCompactions:      k[telemetry.MajorCompactions],
+		TabletScans:           k[telemetry.TabletScans],
+		TabletsPrunedByRange:  k[telemetry.TabletsPrunedByRange],
+		EntriesPrunedByRange:  k[telemetry.EntriesPrunedByRange],
+		PartialProductsFolded: k[telemetry.PartialProductsFolded],
+		ScratchTablesCreated:  k[telemetry.ScratchTablesCreated],
+		SharedScanFolds:       k[telemetry.SharedScanFolds],
 	}
 }
 

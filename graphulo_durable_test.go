@@ -1,46 +1,53 @@
 package graphulo
 
 import (
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 )
 
+// crashChildEnv, when set in a re-executed test binary, names the
+// directory TestDurableTableGraphSurvivesRestart's child half builds
+// its graph under before exiting without Close.
+const crashChildEnv = "GRAPHULO_TEST_CRASH_CHILD"
+
+// durableWant is what the crashed child computed before it died.
+type durableWant struct {
+	Tables []string
+	BFS    map[string]int
+	Deg    map[string]float64
+	Tri    float64
+}
+
 // The acceptance contract for the durable storage engine: a TableGraph
-// ingested with DataDir set survives process restart. Reopening the
-// same directory — without any clean shutdown, so recovery runs off
-// manifest + WAL replay — must recover all tables and splits and give
-// identical BFS, Degrees, and TriangleCount results.
+// ingested with DataDir set survives process restart. A child process
+// builds the graph and exits without any clean shutdown, so recovery
+// runs off manifest + WAL replay; reopening the same directory must
+// recover all tables and splits and give identical BFS, Degrees, and
+// TriangleCount results.
 func TestDurableTableGraphSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	graph := DedupGraph(RMAT(Graph500(6, 3)))
+	if base := os.Getenv(crashChildEnv); base != "" {
+		buildDurableGraphAndExit(t, base)
+	}
+	base := t.TempDir()
+	child := exec.Command(os.Args[0], "-test.run=^TestDurableTableGraphSurvivesRestart$")
+	child.Env = append(os.Environ(), crashChildEnv+"="+base)
+	if out, err := child.CombinedOutput(); err != nil {
+		t.Fatalf("child process: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(filepath.Join(base, "want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want durableWant
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	wantTables, wantBFS, wantDeg, wantTri := want.Tables, want.BFS, want.Deg, want.Tri
 
-	db, err := Open(ClusterConfig{TabletServers: 2, MemLimit: 128, DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := db.CreateGraph("G")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tg.Ingest(graph); err != nil {
-		t.Fatal(err)
-	}
-	wantBFS, err := tg.BFS([]int{0}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDeg, err := tg.Degrees()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTri, err := tg.TriangleCount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTables := db.Connector().TableOperations().List()
-	// Unclean shutdown: drop the handle without Close. Acknowledged
-	// writes must be recoverable from manifest + WAL alone.
-
-	db2, err := Open(ClusterConfig{TabletServers: 2, MemLimit: 128, DataDir: dir})
+	db2, err := Open(ClusterConfig{TabletServers: 2, MemLimit: 128, DataDir: filepath.Join(base, "data")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +96,45 @@ func TestDurableTableGraphSurvivesRestart(t *testing.T) {
 	if gotTri != wantTri {
 		t.Fatalf("TriangleCount = %v after restart, want %v", gotTri, wantTri)
 	}
+}
+
+// buildDurableGraphAndExit is the child half of
+// TestDurableTableGraphSurvivesRestart: it ingests the graph under
+// base/data, records the kernel results in base/want.json, and exits
+// with the cluster still open — acknowledged writes must be recoverable
+// from manifest + WAL alone.
+func buildDurableGraphAndExit(t *testing.T, base string) {
+	graph := DedupGraph(RMAT(Graph500(6, 3)))
+	db, err := Open(ClusterConfig{TabletServers: 2, MemLimit: 128, DataDir: filepath.Join(base, "data")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := db.CreateGraph("G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tg.Ingest(graph); err != nil {
+		t.Fatal(err)
+	}
+	var want durableWant
+	if want.BFS, err = tg.BFS([]int{0}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if want.Deg, err = tg.Degrees(); err != nil {
+		t.Fatal(err)
+	}
+	if want.Tri, err = tg.TriangleCount(); err != nil {
+		t.Fatal(err)
+	}
+	want.Tables = db.Connector().TableOperations().List()
+	raw, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(base, "want.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	os.Exit(0)
 }
 
 // A durable graph built and cleanly closed in one "process" is fully

@@ -114,12 +114,24 @@ func TestScratchTableCountsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// perQuery sums the per-query twin over the retained queries, all of
+	// this test's kernels.
+	perQuery := func() (n int64) {
+		for _, q := range db.QueryStats() {
+			n += q.Counters["scratch_tables_created"]
+		}
+		return n
+	}
 	scratchDelta := func(run func() error) int64 {
-		before := db.ScanMetrics().ScratchTablesCreated
+		before, beforeQ := db.ScanMetrics().ScratchTablesCreated, perQuery()
 		if err := run(); err != nil {
 			t.Fatal(err)
 		}
-		return db.ScanMetrics().ScratchTablesCreated - before
+		delta := db.ScanMetrics().ScratchTablesCreated - before
+		if q := perQuery() - beforeQ; q != delta {
+			t.Errorf("per-query scratch tables %d != global delta %d", q, delta)
+		}
+		return delta
 	}
 
 	// Fused Jaccard and TriangleCount stream A² partial products to the

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"graphulo/internal/accumulo"
+	"graphulo/internal/telemetry"
 )
 
 // buildBandedOperands creates pre-split operand tables AT and B for a
@@ -70,30 +71,27 @@ var bandedMultBand = ScanConstraint{
 	ColQStart: "ca", ColQEnd: "cb",
 }
 
-// mirroredCounters are the per-query counters that also have a global
-// Metrics counterpart reachable through the public API; per-query and
-// global-delta views of one isolated kernel call must agree exactly.
-var mirroredCounters = []string{
-	"wire_bytes", "rpcs", "entries_written", "entries_scanned",
-	"tablet_scans", "tablets_pruned_by_range",
-	"entries_pruned_by_range", "partial_products_folded",
+// mirroredCounters lists the registry's mirrored counters: the ones
+// whose per-query and global-delta views of one isolated kernel call
+// must agree exactly.
+func mirroredCounters() []telemetry.Counter {
+	var out []telemetry.Counter
+	for c := telemetry.Counter(0); c < telemetry.NumCounters; c++ {
+		if c.Mirrored() {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
-// globalCounterView reads the global counters under the per-query
-// counter names.
+// globalCounterView reads the coordinator's global counters by name.
 func globalCounterView(db *DB) map[string]int64 {
-	wire, rpcs, written, scanned := db.Metrics()
-	st := db.ScanMetrics()
-	return map[string]int64{
-		"wire_bytes":              wire,
-		"rpcs":                    rpcs,
-		"entries_written":         written,
-		"entries_scanned":         scanned,
-		"tablet_scans":            st.TabletScans,
-		"tablets_pruned_by_range": st.TabletsPrunedByRange,
-		"entries_pruned_by_range": st.EntriesPrunedByRange,
-		"partial_products_folded": st.PartialProductsFolded,
+	k := db.cluster.Counts()
+	out := make(map[string]int64, len(k))
+	for c := telemetry.Counter(0); c < telemetry.NumCounters; c++ {
+		out[c.String()] = k[c]
 	}
+	return out
 }
 
 // TestQueryStatsMatchGlobalMetricsThreeWay runs the banded TableMult on
@@ -131,7 +129,8 @@ func TestQueryStatsMatchGlobalMetricsThreeWay(t *testing.T) {
 		if q.TraceID == "" || q.TraceID == "0000000000000000" {
 			t.Fatalf("query has no trace id: %q", q.TraceID)
 		}
-		for _, name := range mirroredCounters {
+		for _, c := range mirroredCounters() {
+			name := c.String()
 			delta := after[name] - before[name]
 			if got := q.Counters[name]; got != delta {
 				t.Errorf("counter %s: per-query %d != global delta %d", name, got, delta)
@@ -284,10 +283,33 @@ func TestExternalTraceSpanLinkage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := http.Get("http://" + daemonAddr + "/metrics"); err != nil {
-		t.Errorf("daemon /metrics unreachable: %v", err)
-	} else {
-		resp.Body.Close()
+	requireEveryCounterOnce(t, "daemon", scrapeMetrics(t, daemonAddr))
+}
+
+// scrapeMetrics fetches a telemetry endpoint's /metrics text.
+func scrapeMetrics(t *testing.T, addr string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatalf("/metrics on %s unreachable: %v", addr, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// requireEveryCounterOnce asserts a process's /metrics serves every
+// registry counter exactly once, as graphulo_<name>_total.
+func requireEveryCounterOnce(t *testing.T, who, metrics string) {
+	t.Helper()
+	for c := telemetry.Counter(0); c < telemetry.NumCounters; c++ {
+		family := "graphulo_" + c.String() + "_total"
+		if n := strings.Count(metrics, "\n"+family+" "); n != 1 {
+			t.Errorf("%s /metrics has %d %s samples, want 1", who, n, family)
+		}
 	}
 }
 
@@ -312,27 +334,14 @@ func TestMetricsEndpointAndSlowQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get("http://" + db.MetricsAddr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
+	text := scrapeMetrics(t, db.MetricsAddr())
+	requireEveryCounterOnce(t, "coordinator", text)
 	for _, family := range []string{
 		"# TYPE graphulo_scan_pass_seconds histogram",
 		"graphulo_scan_pass_seconds_bucket{le=\"+Inf\"}",
 		"# TYPE graphulo_write_batch_seconds histogram",
 		"# TYPE graphulo_wal_sync_seconds histogram",
 		"# TYPE graphulo_kernel_seconds histogram",
-		"graphulo_entries_scanned_total",
-		"graphulo_entries_written_total",
-		"graphulo_tablet_scans_total",
-		"graphulo_tablets_pruned_by_range_total",
-		"graphulo_partial_products_folded_total",
 		"graphulo_queries_total",
 	} {
 		if !strings.Contains(text, family) {

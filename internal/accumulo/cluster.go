@@ -99,40 +99,49 @@ const (
 	TransportTCP = "tcp"
 )
 
-// Config sizes the mini-cluster.
+// Config sizes the mini-cluster. The public API re-exports it as
+// graphulo.ClusterConfig; zero values select the documented defaults.
 type Config struct {
-	// TabletServers is the number of server instances (default 2).
+	// TabletServers is the number of tablet server instances (default 2).
 	TabletServers int
-	// MemLimit is the per-tablet memtable entry limit before an
-	// automatic minor compaction (default 1<<14).
+	// MemLimit is the per-tablet memtable entry limit before the
+	// memtable is frozen for a background minor compaction (default
+	// 1<<14).
 	MemLimit int
 	// WireBatch is the number of entries per RPC batch (default 4096).
 	WireBatch int
 	// ScanParallelism bounds how many tablets one scan (or one
 	// server-side kernel pass) executes concurrently (default 4). With 1
 	// tablets are scanned strictly in sequence; higher values let
-	// whole-table kernels such as TableMult run on several tablets at
-	// once while each scan still buffers only ScanParallelism wire
-	// batches.
+	// pre-split tables run TableMult and friends on several cores at
+	// once, while each scan still buffers only ScanParallelism wire
+	// batches regardless of table size.
 	ScanParallelism int
-	// Transport selects the data-plane wire: TransportInProc (default)
-	// or TransportTCP. Kernels behave identically on both; TCP makes
-	// every client↔server and server↔server exchange cross a real
-	// socket. Ignored when Servers is set (which implies TCP).
+	// Transport selects the wire the data plane crosses: TransportInProc
+	// ("inproc", the default) keeps every tablet server in the process
+	// behind the serialised codec; TransportTCP ("tcp") gives each tablet
+	// server its own loopback socket so every scan batch, write batch,
+	// and tablet→tablet kernel flow crosses a real connection. Kernels
+	// produce identical results on both. Ignored when Servers is set
+	// (which implies TCP).
 	Transport string
 	// Servers lists external tablet-server endpoints (host:port)
 	// started with `graphulo serve`. When set, the cluster launches no
-	// tablet servers of its own: tablets are assigned to the listed
-	// processes and every scan and write crosses process boundaries.
-	// External clusters are in-memory only (no DataDir) and do not
-	// support tablet-level admin ops (splits, flush, compact).
+	// tablet servers of its own: tablets are hosted by the listed
+	// processes and all data-plane traffic crosses process — or machine
+	// — boundaries. External clusters are in-memory only (no DataDir)
+	// and do not support tablet-level admin ops (splits, flush,
+	// compact).
 	Servers []string
 	// DataDir, when non-empty, makes the cluster durable: tables and
-	// data persist under this directory (manifest + WAL + rfiles) and
-	// OpenMiniCluster recovers them. Empty keeps everything in memory.
+	// data persist under this directory (manifest + WAL + rfiles) and a
+	// later open on it recovers them, replaying the WAL for writes that
+	// were never flushed. Only one cluster may hold a data directory at
+	// a time. Empty keeps everything in memory.
 	DataDir string
-	// NoSync skips per-append WAL fsyncs in durable mode (benchmarks
-	// and bulk loads; crash durability is reduced to OS buffering).
+	// NoSync skips per-append WAL fsyncs in durable mode, trading crash
+	// durability for ingest speed (benchmarks and bulk loads; crash
+	// durability is reduced to OS buffering).
 	NoSync bool
 	// BlockCacheBytes bounds the shared rfile block cache of a durable
 	// cluster: repeated scans decode each resident block once instead
@@ -146,9 +155,9 @@ type Config struct {
 	BloomFilterBits int
 	// ColQBloomBits sizes the per-rfile (row, column-qualifier) bloom
 	// filters, in bits per distinct pair: cell-confined seeks (edge
-	// existence probes, single-cell reads) skip rfiles that cannot
-	// contain the pair. 0 selects the default density (10); negative
-	// disables the filters.
+	// existence probes via HasEdge, single-cell reads) skip rfiles that
+	// cannot contain the pair. 0 selects the default density (10);
+	// negative disables the filters.
 	ColQBloomBits int
 	// MemtableFlushBytes freezes a tablet's memtable for background
 	// flush once its approximate in-memory footprint reaches this many
@@ -157,27 +166,29 @@ type Config struct {
 	// default budget (64 MiB); negative disables the byte trigger.
 	MemtableFlushBytes int
 	// MemtableMaxFrozen bounds each tablet's frozen-memtable queue:
-	// writers stall (Metrics write_stall_nanos) once this many frozen
+	// writers stall (counted in write_stall_nanos) once this many frozen
 	// memtables await background flush. A deeper queue absorbs longer
 	// ingest bursts at the cost of memory and scan merge width. 0
 	// selects the default depth (2).
 	MemtableMaxFrozen int
 	// MetricsAddr, when non-empty, serves the coordinator's telemetry
-	// HTTP endpoint (Prometheus /metrics, JSON /queries, /debug/pprof)
-	// on this address (host:port; ":0" picks an ephemeral port, read it
-	// back with TelemetryAddr). Empty keeps the endpoint off.
+	// HTTP endpoint on this address (host:port; ":0" picks an ephemeral
+	// port, read it back with DB.MetricsAddr): Prometheus-text /metrics,
+	// JSON /queries with per-query span trees, and /debug/pprof. Empty
+	// keeps telemetry in-process only.
 	MetricsAddr string
-	// SlowQueryThreshold emits a structured JSON log line (to
-	// SlowQueryLog) for every kernel query at or over this duration.
-	// Zero disables the slow-query log.
+	// SlowQueryThreshold, when positive, logs every kernel query whose
+	// end-to-end duration reaches it as one structured JSON line on
+	// SlowQueryLog. Zero disables the slow-query log.
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog receives slow-query lines; nil disables the log
 	// regardless of threshold.
 	SlowQueryLog io.Writer
-	// DefaultTenant labels kernel queries that carry no explicit tenant;
-	// "" is itself a valid (default) tenant label. Tenants are the unit
-	// of fair-share scheduling, budget accounting, per-tenant telemetry,
-	// and cache-partition accounting.
+	// DefaultTenant labels kernel queries that carry no explicit tenant
+	// (MultOptions.Tenant, AdjBFSOptions.Tenant); "" is itself a valid
+	// label, exported as "default". Tenants are the unit of fair-share
+	// scheduling, budget accounting, per-tenant telemetry, and
+	// cache-partition accounting.
 	DefaultTenant string
 	// MaxConcurrentQueries bounds kernel queries executing at once; the
 	// excess queues for admission. 0 selects the default (64); negative
@@ -188,22 +199,23 @@ type Config struct {
 	// waiting. 0 selects the default (256); negative rejects immediately
 	// once the concurrency slots are full.
 	MaxQueuedQueries int
-	// MaxConcurrentPasses, when positive, bounds tablet scan passes
-	// dispatched at once across all queries and schedules the excess by
-	// weighted fair queuing across tenants (TenantWeights). Queued
-	// compatible scans of the same tablet fold onto one physical pass
-	// (Metrics.SharedScanFolds). 0 or negative leaves pass dispatch
-	// unscheduled — the pre-scheduler behaviour.
+	// MaxConcurrentPasses, when positive, bounds physical tablet scan
+	// passes dispatched at once across all queries and schedules the
+	// excess by weighted fair queuing across tenants (TenantWeights).
+	// Queued compatible scans of the same tablet fold onto one physical
+	// pass (counted in shared_scan_folds). 0 or negative leaves passes
+	// bounded only by ScanParallelism per scan.
 	MaxConcurrentPasses int
-	// TenantWeights assigns fair-share weights; unlisted tenants weigh 1.
-	// Only consulted when MaxConcurrentPasses > 0.
+	// TenantWeights sets relative fair-share weights for pass
+	// scheduling; unlisted tenants weigh 1. Only consulted when
+	// MaxConcurrentPasses > 0.
 	TenantWeights map[string]int
 	// ScanEntryBudget, when positive, bounds the entries any one kernel
 	// query may scan; crossing it cancels the query with a typed
-	// BudgetError surfaced through EntryStream.Err.
+	// BudgetError surfaced through the kernel's error return.
 	ScanEntryBudget int64
 	// WriteByteBudget, when positive, bounds the wire bytes any one
-	// kernel query may write; crossing it fails the write with a typed
+	// kernel query may write; crossing it fails the query with a typed
 	// BudgetError.
 	WriteByteBudget int64
 	// CacheTenantSoftCapBytes, when positive, soft-caps each tenant's
@@ -215,9 +227,9 @@ type Config struct {
 	// scheduler per durable table: a tablet whose immutable-run count
 	// exceeds this threshold has a contiguous group of similar-sized
 	// runs merged (size-tiered picking, with the table's majc iterator
-	// stack), bounding k-way merge width under sustained ingest without
-	// rewriting the largest runs on every pass. 0 or negative keeps
-	// major compaction manual-only.
+	// stack), keeping scan merge width bounded under sustained ingest
+	// without rewriting the largest runs on every pass. 0 or negative
+	// keeps major compaction manual-only.
 	MaxRunsPerTablet int
 }
 
@@ -255,45 +267,10 @@ func (c Config) flushBytes() int {
 	return c.MemtableFlushBytes
 }
 
-// Metrics counts cluster activity; all fields are atomic.
+// Metrics holds a process's scan-pipeline gauges; all fields are
+// atomic. Monotonic counters live in the process-global
+// telemetry.StatSet beside it.
 type Metrics struct {
-	WireBytes      atomic.Int64 // payload bytes crossing the transport
-	RPCs           atomic.Int64 // RPC round trips (calls + stream batches)
-	EntriesWritten atomic.Int64 // entries ingested by tablet servers
-	EntriesScanned atomic.Int64 // entries returned to scan clients
-
-	// ScansStarted counts scans issued — client streams plus every
-	// remote scan opened by server-side iterators. The regression tests
-	// for the streaming RemoteSource pin kernel behaviour with it.
-	ScansStarted atomic.Int64
-	// TabletScans counts tablet scan passes served by this process's
-	// tablet servers — one per tablet that actually executed an
-	// iterator stack. A range-constrained kernel over a pre-split table
-	// shows TabletScans equal to the overlapping tablets, not the
-	// table's tablet count.
-	TabletScans atomic.Int64
-	// TabletsPrunedByRange counts tablets skipped without a scan pass
-	// because the scan's pushed-down ranges did not overlap their row
-	// band — the observable form of SpRef push-down.
-	TabletsPrunedByRange atomic.Int64
-	// EntriesPrunedByRange counts entries dropped server-side by range
-	// filters (the colRange column-qualifier band) before they reached
-	// kernel stages or the wire.
-	EntriesPrunedByRange atomic.Int64
-	// PartialProductsFolded counts partial products absorbed by
-	// RemoteWrite pre-aggregation (⊕-folded into an already-buffered
-	// output cell) instead of crossing the write path individually.
-	PartialProductsFolded atomic.Int64
-	// ScratchTablesCreated counts intermediate tables materialised by
-	// kernel drivers and plan execution — each one a write-then-rescan
-	// round-trip through the tablet layer. Fused plans exist to keep
-	// this low; the fusion regression tests pin per-kernel deltas.
-	ScratchTablesCreated atomic.Int64
-	// SharedScanFolds counts scans served by riding another scan's
-	// physical tablet pass instead of running their own — shared-scan
-	// folding, which engages when Config.MaxConcurrentPasses makes
-	// compatible scans of one tablet queue together.
-	SharedScanFolds atomic.Int64
 	// ScansInFlight gauges tablet scan passes currently executing on
 	// this process's tablet servers; MaxScansInFlight records its
 	// high-water mark (evidence of per-tablet parallelism).
@@ -308,14 +285,6 @@ type Metrics struct {
 	// refactor's memory claim.
 	EntriesBuffered    atomic.Int64
 	MaxEntriesBuffered atomic.Int64
-
-	// MajorCompactions counts completed major compactions — manual
-	// (TableOperations.Compact, per tablet) and scheduled (background
-	// compaction scheduler) alike. MajorCompactionErrors counts
-	// scheduled compactions that failed; the scheduler retries on its
-	// next sweep.
-	MajorCompactions      atomic.Int64
-	MajorCompactionErrors atomic.Int64
 }
 
 // atomicMax folds n into an atomic high-water mark.
@@ -332,11 +301,21 @@ func atomicMax(max *atomic.Int64, n int64) {
 // MaxEntriesBuffered high-water mark.
 func (m *Metrics) noteBuffered(n int64) { atomicMax(&m.MaxEntriesBuffered, n) }
 
-// noteScanStart counts one served tablet pass, bumps ScansInFlight, and
-// folds the new value into its high-water mark.
+// noteScanStart bumps ScansInFlight and folds the new value into its
+// high-water mark.
 func (m *Metrics) noteScanStart() {
-	m.TabletScans.Add(1)
 	atomicMax(&m.MaxScansInFlight, m.ScansInFlight.Add(1))
+}
+
+// gauges renders a Metrics block as /metrics gauge samples, shared by
+// the coordinator and standalone tablet servers.
+func (m *Metrics) gauges() []telemetry.Sample {
+	return []telemetry.Sample{
+		{Name: "scans_in_flight", Help: "Tablet scan passes currently executing.", Value: m.ScansInFlight.Load()},
+		{Name: "max_scans_in_flight", Help: "High-water mark of concurrent tablet passes.", Value: m.MaxScansInFlight.Load()},
+		{Name: "entries_buffered", Help: "Entries held across scan pipelines.", Value: m.EntriesBuffered.Load()},
+		{Name: "max_entries_buffered", Help: "High-water mark of buffered entries.", Value: m.MaxEntriesBuffered.Load()},
+	}
 }
 
 // MiniCluster is the embedded cluster: the metadata authority (tables,
@@ -348,9 +327,10 @@ type MiniCluster struct {
 	seed    atomic.Int64
 	Metrics Metrics
 
-	// ingest aggregates write-path pressure counters (memtable freezes,
-	// write-stall time) across every tablet this cluster hosts.
-	ingest tablet.IngestStats
+	// stats is the process-global counter set: every counting site in
+	// this process, the hosted tablets included, adds to it. Read it
+	// through Counts, which adds the durable read-path counters.
+	stats telemetry.StatSet
 
 	// tel tracks the coordinator's kernel queries and process-global
 	// latency histograms; telSrv is the optional HTTP endpoint
@@ -456,7 +436,8 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 	if cfg.MetricsAddr != "" {
 		srv, err := telemetry.Serve(cfg.MetricsAddr, telemetry.ServerConfig{
 			Registry: mc.tel,
-			Counters: mc.counterSamples,
+			Counts:   mc.Counts,
+			Gauges:   mc.gauges,
 		})
 		if err != nil {
 			mc.closeTransport()
@@ -495,6 +476,7 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 		for i, tbi := range ti.Tablets {
 			ts, runs, replay, maxTs, err := dir.OpenTablet(ti.Name, tbi)
 			if err != nil {
+				mc.crash()
 				return nil, fmt.Errorf("accumulo: recovering table %q: %w", ti.Name, err)
 			}
 			if maxTs > clockFloor {
@@ -641,8 +623,8 @@ func (mc *MiniCluster) scanTopology() *topology {
 }
 
 // initTablet wires a freshly created tablet into the cluster's
-// write-path plumbing: the byte-based flush trigger, the shared
-// ingest-pressure counters, and a flush hook that kicks the table's
+// write-path plumbing: the byte-based flush trigger, the cluster's
+// counter set, and a flush hook that kicks the table's
 // compaction scheduler so background freezes feed size-tiered merging
 // the same way explicit flushes do. meta.sched is read at notify time —
 // the scheduler starts after tablet creation but before the table is
@@ -650,7 +632,7 @@ func (mc *MiniCluster) scanTopology() *topology {
 func (mc *MiniCluster) initTablet(tab *tablet.Tablet, meta *tableMeta) {
 	tab.SetFlushBytes(mc.cfg.flushBytes())
 	tab.SetMaxFrozen(mc.cfg.MemtableMaxFrozen)
-	tab.SetIngestStats(&mc.ingest)
+	tab.SetStats(&mc.stats)
 	tab.SetFlushNotify(func() {
 		if meta.sched != nil {
 			meta.sched.Kick()
@@ -680,8 +662,8 @@ func (mc *MiniCluster) startScheduler(meta *tableMeta) {
 		Stack: func() func(iterator.SKVI) (iterator.SKVI, error) {
 			return mc.compactionStack(meta, MajcScope)
 		},
-		OnCompact: func(*tablet.Tablet) { mc.Metrics.MajorCompactions.Add(1) },
-		OnError:   func(error) { mc.Metrics.MajorCompactionErrors.Add(1) },
+		OnCompact: func(*tablet.Tablet) { mc.stats.Add(telemetry.MajorCompactions, 1) },
+		OnError:   func(error) { mc.stats.Add(telemetry.MajorCompactionErrors, 1) },
 	})
 }
 
@@ -707,7 +689,7 @@ func (mc *MiniCluster) StartKernelQuery(kernel, tenant string) (*telemetry.Query
 	}
 	q := mc.tel.StartQuery(kernel).WithTenant(tenant)
 	if wait > 0 {
-		q.Add(telemetry.QueueWaitNanos, int64(wait))
+		mc.stats.Count(q, telemetry.QueueWaitNanos, int64(wait))
 		mc.tel.QueueWait.Observe(wait)
 	}
 	if b := mc.sched.NewBudget(tenant); b != nil {
@@ -741,62 +723,30 @@ func (mc *MiniCluster) TelemetryAddr() string {
 	return mc.telSrv.Addr()
 }
 
-// counterSamples snapshots the cluster-global counters for /metrics:
-// the Metrics block plus the durable read-path stats.
-func (mc *MiniCluster) counterSamples() []telemetry.Sample {
-	samples := metricsSamples(&mc.Metrics)
-	st := mc.StorageStats()
-	return append(samples,
-		telemetry.Sample{Name: "cache_hits", Help: "Block-cache hits on the durable read path.", Value: st.CacheHits},
-		telemetry.Sample{Name: "cache_misses", Help: "Block-cache misses on the durable read path.", Value: st.CacheMisses},
-		telemetry.Sample{Name: "bloom_negatives", Help: "Bloom-filter negative row lookups.", Value: st.BloomNegatives},
-		telemetry.Sample{Name: "colq_bloom_negatives", Help: "Column-bloom negative cell lookups.", Value: st.ColQBloomNegatives},
-		telemetry.Sample{Name: "locality_blocks_skipped", Help: "Rfile blocks skipped by locality-group family constraints.", Value: st.LocalityBlocksSkipped},
-		telemetry.Sample{Name: "memtable_freezes", Help: "Memtables frozen and handed to background flush.", Value: mc.ingest.Freezes.Load()},
-		telemetry.Sample{Name: "write_stall_nanos", Help: "Nanoseconds writers spent stalled on flush backpressure.", Value: mc.ingest.StallNanos.Load()},
-		telemetry.Sample{Name: "queries_running", Help: "Kernel queries holding admission slots.", Gauge: true, Value: int64(mc.sched.QueriesRunning())},
-		telemetry.Sample{Name: "queries_queued", Help: "Kernel queries waiting for admission.", Gauge: true, Value: int64(mc.sched.QueriesQueued())},
-		telemetry.Sample{Name: "passes_queued", Help: "Tablet scan passes waiting in tenant queues.", Gauge: true, Value: int64(mc.sched.PassesQueued())},
+// Counts snapshots the process-global counters: the cluster's counter
+// set plus, for a durable cluster, the read-path counters of its data
+// directory.
+func (mc *MiniCluster) Counts() telemetry.Counts {
+	k := mc.stats.Counts()
+	mc.dir.AddCounts(&k)
+	return k
+}
+
+// Count records n events of c in the cluster's global counters and, when
+// q is non-nil, in q — for counting sites outside this package.
+func (mc *MiniCluster) Count(q *telemetry.Query, c telemetry.Counter, n int64) {
+	mc.stats.Count(q, c, n)
+}
+
+// gauges snapshots the coordinator's /metrics gauges: the scan-pipeline
+// gauges plus the scheduler's queue depths.
+func (mc *MiniCluster) gauges() []telemetry.Sample {
+	return append(mc.Metrics.gauges(),
+		telemetry.Sample{Name: "queries_running", Help: "Kernel queries holding admission slots.", Value: int64(mc.sched.QueriesRunning())},
+		telemetry.Sample{Name: "queries_queued", Help: "Kernel queries waiting for admission.", Value: int64(mc.sched.QueriesQueued())},
+		telemetry.Sample{Name: "passes_queued", Help: "Tablet scan passes waiting in tenant queues.", Value: int64(mc.sched.PassesQueued())},
 	)
 }
-
-// metricsSamples renders a Metrics block as /metrics counter samples,
-// shared by the coordinator and standalone tablet servers.
-func metricsSamples(m *Metrics) []telemetry.Sample {
-	return []telemetry.Sample{
-		{Name: "wire_bytes", Help: "Payload bytes crossing the transport.", Value: m.WireBytes.Load()},
-		{Name: "rpcs", Help: "RPC round trips (calls plus stream batches).", Value: m.RPCs.Load()},
-		{Name: "entries_written", Help: "Entries ingested by tablet servers.", Value: m.EntriesWritten.Load()},
-		{Name: "entries_scanned", Help: "Entries returned to scan clients.", Value: m.EntriesScanned.Load()},
-		{Name: "scans_started", Help: "Scans issued, client and server-side.", Value: m.ScansStarted.Load()},
-		{Name: "tablet_scans", Help: "Tablet scan passes served.", Value: m.TabletScans.Load()},
-		{Name: "tablets_pruned_by_range", Help: "Tablets skipped by range push-down.", Value: m.TabletsPrunedByRange.Load()},
-		{Name: "entries_pruned_by_range", Help: "Entries dropped by server-side range filters.", Value: m.EntriesPrunedByRange.Load()},
-		{Name: "partial_products_folded", Help: "Partial products absorbed by pre-aggregation.", Value: m.PartialProductsFolded.Load()},
-		{Name: "scratch_tables_created", Help: "Intermediate tables materialised by kernel drivers.", Value: m.ScratchTablesCreated.Load()},
-		{Name: "shared_scan_folds", Help: "Scans folded onto another scan's physical tablet pass.", Value: m.SharedScanFolds.Load()},
-		{Name: "major_compactions", Help: "Completed major compactions.", Value: m.MajorCompactions.Load()},
-		{Name: "major_compaction_errors", Help: "Failed scheduled major compactions.", Value: m.MajorCompactionErrors.Load()},
-		{Name: "scans_in_flight", Help: "Tablet scan passes currently executing.", Gauge: true, Value: m.ScansInFlight.Load()},
-		{Name: "max_scans_in_flight", Help: "High-water mark of concurrent tablet passes.", Gauge: true, Value: m.MaxScansInFlight.Load()},
-		{Name: "entries_buffered", Help: "Entries held across scan pipelines.", Gauge: true, Value: m.EntriesBuffered.Load()},
-		{Name: "max_entries_buffered", Help: "High-water mark of buffered entries.", Gauge: true, Value: m.MaxEntriesBuffered.Load()},
-	}
-}
-
-// StorageStats snapshots the durable read-path counters: block-cache
-// hits and misses, and bloom-filter negative row and cell lookups. All
-// zero for in-memory clusters.
-func (mc *MiniCluster) StorageStats() store.StorageCounters {
-	if mc.dir == nil {
-		return store.StorageCounters{}
-	}
-	return mc.dir.StorageStats()
-}
-
-// IngestStats exposes the cluster's aggregate write-path pressure
-// counters: memtable freezes and write-stall time.
-func (mc *MiniCluster) IngestStats() *tablet.IngestStats { return &mc.ingest }
 
 // Close shuts the cluster down cleanly. For a durable cluster every
 // tablet's memtable is flushed to an rfile (applying the minc stack,
@@ -815,24 +765,14 @@ func (mc *MiniCluster) Close() error {
 		mc.telSrv = nil
 	}
 	if mc.dir != nil {
-		mc.mu.RLock()
-		var names []string
-		var scheds []*tablet.Scheduler
-		for name, meta := range mc.tables {
-			names = append(names, name)
-			if meta.sched != nil {
-				scheds = append(scheds, meta.sched)
-			}
-		}
-		mc.mu.RUnlock()
 		// Stop every compaction scheduler first: Stop returns only once
 		// any in-flight scheduled compaction has finished, so nothing
 		// races the final flushes or writes after the directory closes.
-		for _, s := range scheds {
+		for _, s := range mc.schedulers() {
 			s.Stop()
 		}
 		ops := &TableOperations{mc: mc}
-		for _, name := range names {
+		for _, name := range ops.List() {
 			if err := ops.Flush(name); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -846,6 +786,39 @@ func (mc *MiniCluster) Close() error {
 		firstErr = err
 	}
 	return firstErr
+}
+
+// schedulers lists the tables' background compaction schedulers.
+func (mc *MiniCluster) schedulers() []*tablet.Scheduler {
+	mc.mu.RLock()
+	defer mc.mu.RUnlock()
+	var out []*tablet.Scheduler
+	for _, meta := range mc.tables {
+		if meta.sched != nil {
+			out = append(out, meta.sched)
+		}
+	}
+	return out
+}
+
+// crash abandons the cluster as a killed process would: compaction
+// schedulers stop, the data directory stops taking rfile writes and
+// manifest commits (so background memtable flushes fail instead of
+// reaching the disk), its lock is released, and the transport and
+// telemetry endpoint close. Nothing is flushed or synced. Failed
+// recovery uses it, and crash-recovery tests stand it in for a kill;
+// the caller must have stopped writing.
+func (mc *MiniCluster) crash() {
+	for _, s := range mc.schedulers() {
+		s.Stop()
+	}
+	if mc.dir != nil {
+		mc.dir.Abandon()
+	}
+	if mc.telSrv != nil {
+		mc.telSrv.Close()
+	}
+	mc.closeTransport()
 }
 
 // persistIters writes a table's iterator settings to the manifest in
@@ -971,11 +944,9 @@ func (mc *MiniCluster) write(table string, entries []skv.Entry, q *telemetry.Que
 		if err := q.ChargeWriteBytes(int64(len(wire))); err != nil {
 			return fmt.Errorf("accumulo: %w", err)
 		}
-		mc.Metrics.WireBytes.Add(int64(len(wire)))
-		mc.Metrics.RPCs.Add(1)
-		q.Add(telemetry.WireBytes, int64(len(wire)))
-		q.Add(telemetry.WriteWireBytes, int64(len(wire)))
-		q.Add(telemetry.RPCs, 1)
+		mc.stats.Count(q, telemetry.WireBytes, int64(len(wire)))
+		mc.stats.Count(q, telemetry.WriteWireBytes, int64(len(wire)))
+		mc.stats.Count(q, telemetry.RPCs, 1)
 		conn, err := mc.tr.Dial(tr.endpoint)
 		if err == nil {
 			_, err = conn.Call(opWrite, encodeWriteReq(writeReq{
@@ -992,8 +963,7 @@ func (mc *MiniCluster) write(table string, entries []skv.Entry, q *telemetry.Que
 			return fmt.Errorf("accumulo: tablet write: %w", err)
 		}
 		wrote = true
-		mc.Metrics.EntriesWritten.Add(int64(len(batch)))
-		q.Add(telemetry.EntriesWritten, int64(len(batch)))
+		mc.stats.Count(q, telemetry.EntriesWritten, int64(len(batch)))
 		// Auto-minc applies the minc stack when the memtable spills; the
 		// tablet handles the spill itself with a nil stack, so re-apply
 		// the configured minc stack lazily at the next compaction. To
@@ -1003,7 +973,7 @@ func (mc *MiniCluster) write(table string, entries []skv.Entry, q *telemetry.Que
 		// Prompt the compaction scheduler: an auto-minc above may have
 		// pushed a tablet past its run threshold.
 		meta.sched.Kick()
-		q.Add(telemetry.CompactionKicks, 1)
+		mc.stats.Count(q, telemetry.CompactionKicks, 1)
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ type TabletServer struct {
 	clock    atomic.Int64
 	seed     atomic.Int64
 	metrics  Metrics
-	ingest   tablet.IngestStats
+	stats    telemetry.StatSet // process-global counters
 	tel      *telemetry.Registry
 	telSrv   *telemetry.Server
 
@@ -97,12 +97,8 @@ func (s *TabletServer) Telemetry() *telemetry.Registry { return s.tel }
 func (s *TabletServer) StartTelemetry(addr string) (string, error) {
 	srv, err := telemetry.Serve(addr, telemetry.ServerConfig{
 		Registry: s.tel,
-		Counters: func() []telemetry.Sample {
-			return append(metricsSamples(&s.metrics),
-				telemetry.Sample{Name: "memtable_freezes", Help: "Memtables frozen and handed to background flush.", Value: s.ingest.Freezes.Load()},
-				telemetry.Sample{Name: "write_stall_nanos", Help: "Nanoseconds writers spent stalled on flush backpressure.", Value: s.ingest.StallNanos.Load()},
-			)
-		},
+		Counts:   s.stats.Counts,
+		Gauges:   s.metrics.gauges,
 	})
 	if err != nil {
 		return "", err
@@ -148,7 +144,7 @@ func (s *TabletServer) assign(table, start, end string) {
 		tab: tablet.New(start, end, s.memLimit, s.seed.Add(1)),
 	}
 	fresh.tab.SetFlushBytes(64 << 20)
-	fresh.tab.SetIngestStats(&s.ingest)
+	fresh.tab.SetStats(&s.stats)
 	for i, ht := range s.tables[table] {
 		if ht.start == start && ht.end == end {
 			s.tables[table][i] = fresh
@@ -216,7 +212,7 @@ func (h *daemonHandler) Call(op byte, req []byte) ([]byte, error) {
 		if err := tab.Write(entries); err != nil {
 			return nil, fmt.Errorf("accumulo: tablet write: %w", err)
 		}
-		h.s.metrics.EntriesWritten.Add(int64(len(entries)))
+		h.s.stats.Add(telemetry.EntriesWritten, int64(len(entries)))
 		return nil, nil
 	default:
 		return nil, fmt.Errorf("accumulo: unknown unary op %d", op)
@@ -240,6 +236,7 @@ func (h *daemonHandler) Stream(op byte, req []byte, send func([]byte) error) err
 	}
 	h.s.metrics.noteScanStart()
 	defer h.s.metrics.ScansInFlight.Add(-1)
+	h.s.stats.Add(telemetry.TabletScans, 1)
 	// The pass is registered: a standalone server's /queries listing is
 	// the passes it served, each carrying the originating trace ID.
 	pass := h.s.tel.StartRemote(telemetry.TraceID(sr.traceID), sr.spanID, passName(sr)).WithTenant(sr.tenant)
@@ -275,10 +272,9 @@ func (b *daemonBackend) openStream(table string, ranges []skv.Range, families []
 	if batch <= 0 {
 		batch = 4096
 	}
+	b.s.stats.Count(tc.q, telemetry.ScansStarted, 1)
 	ranges, empty := normalizeRanges(ranges)
 	if empty {
-		b.s.metrics.ScansStarted.Add(1)
-		tc.q.Add(telemetry.ScansStarted, 1)
 		return startStream(&b.s.metrics, 1, 0, nil), nil
 	}
 	var targets []topoTablet
@@ -290,10 +286,7 @@ func (b *daemonBackend) openStream(table string, ranges []skv.Range, families []
 			pruned++
 		}
 	}
-	b.s.metrics.ScansStarted.Add(1)
-	b.s.metrics.TabletsPrunedByRange.Add(int64(pruned))
-	tc.q.Add(telemetry.ScansStarted, 1)
-	tc.q.Add(telemetry.TabletsPrunedByRange, int64(pruned))
+	b.s.stats.Count(tc.q, telemetry.TabletsPrunedByRange, int64(pruned))
 	q := tc.q
 	span := q.StartSpan(tc.parent, "scan "+table)
 	// Nested trailers fold into this pass only; this server's globals
@@ -312,14 +305,14 @@ func (b *daemonBackend) openStream(table string, ranges []skv.Range, families []
 				families: families,
 				topoRaw:  b.topoRaw,
 			})
-			relayScan(b.s.tr, &b.s.metrics, q, tb.endpoint, req, out, done, onTrailer)
+			relayScan(b.s.tr, &b.s.metrics, &b.s.stats, q, tb.endpoint, req, out, done, onTrailer)
 		})
 	s.onDone = span.End
 	return s, nil
 }
 
-// metrics implements scanBackend.
-func (b *daemonBackend) metrics() *Metrics { return &b.s.metrics }
+// globals implements scanBackend.
+func (b *daemonBackend) globals() *telemetry.StatSet { return &b.s.stats }
 
 func (b *daemonBackend) writeEntries(table string, entries []skv.Entry, q *telemetry.Query) error {
 	tt := b.topo.find(table)
@@ -337,11 +330,9 @@ func (b *daemonBackend) writeEntries(table string, entries []skv.Entry, q *telem
 	for idx, batch := range groups {
 		tb := tt.tablets[idx]
 		wire := skv.EncodeBatch(batch)
-		b.s.metrics.WireBytes.Add(int64(len(wire)))
-		b.s.metrics.RPCs.Add(1)
-		q.Add(telemetry.WireBytes, int64(len(wire)))
-		q.Add(telemetry.WriteWireBytes, int64(len(wire)))
-		q.Add(telemetry.RPCs, 1)
+		b.s.stats.Count(q, telemetry.WireBytes, int64(len(wire)))
+		b.s.stats.Count(q, telemetry.WriteWireBytes, int64(len(wire)))
+		b.s.stats.Count(q, telemetry.RPCs, 1)
 		conn, err := b.s.tr.Dial(tb.endpoint)
 		if err == nil {
 			_, err = conn.Call(opWrite, encodeWriteReq(writeReq{
@@ -352,6 +343,8 @@ func (b *daemonBackend) writeEntries(table string, entries []skv.Entry, q *telem
 		if err != nil {
 			return fmt.Errorf("accumulo: remote write to %s: %w", tb.endpoint, err)
 		}
+		// The receiving server counts the entries in its global set; the
+		// query's twin is counted here, at the send.
 		q.Add(telemetry.EntriesWritten, int64(len(batch)))
 	}
 	return nil

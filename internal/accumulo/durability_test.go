@@ -48,9 +48,9 @@ func sameEntries(a, b []skv.Entry) bool {
 }
 
 // TestDurableRecoveryAfterUncleanShutdown is the core crash-recovery
-// contract: write (some flushed, some only WAL-logged), skip Close,
-// reopen from the same DataDir, and require byte-identical scans —
-// including through the table's sum-combiner iterator stack.
+// contract: write (some flushed, some only WAL-logged), crash instead
+// of Close, reopen from the same DataDir, and require byte-identical
+// scans — including through the table's sum-combiner iterator stack.
 func TestDurableRecoveryAfterUncleanShutdown(t *testing.T) {
 	dir := t.TempDir()
 	mc := openDurable(t, dir)
@@ -95,7 +95,9 @@ func TestDurableRecoveryAfterUncleanShutdown(t *testing.T) {
 	if len(want) != 50 {
 		t.Fatalf("pre-restart scan = %d entries, want 50", len(want))
 	}
-	// Unclean shutdown: the cluster is simply dropped, no Close.
+	// Unclean shutdown: no Close, and the background flushes that
+	// MemLimit 32 started stop reaching the disk.
+	mc.crash()
 
 	mc2 := openDurable(t, dir)
 	defer mc2.Close()
@@ -139,6 +141,33 @@ func TestDurableRecoveryAfterUncleanShutdown(t *testing.T) {
 	}
 }
 
+// TestSecondOpenOfLiveDirFails pins the data-dir lock: while one
+// cluster has a directory open, a second open of it fails with a clear
+// error instead of racing the first cluster's background flushes; once
+// the first closes, the directory opens again.
+func TestSecondOpenOfLiveDirFails(t *testing.T) {
+	dir := t.TempDir()
+	mc := openDurable(t, dir)
+	if err := mc.Connector().TableOperations().Create("T"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenMiniCluster(Config{DataDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "in use") {
+		t.Fatalf("second open of a live dir: err = %v, want an in-use error", err)
+	}
+	if !mc.Connector().TableOperations().Exists("T") {
+		t.Fatal("failed second open disturbed the live cluster")
+	}
+	if err := mc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mc2 := openDurable(t, dir)
+	defer mc2.Close()
+	if !mc2.Connector().TableOperations().Exists("T") {
+		t.Fatal("table lost across the locked open and the reopen")
+	}
+}
+
 // TestDurableClockMonotonicAcrossRestart: a write after recovery must
 // get a newer timestamp than every pre-restart write, or the
 // versioning iterator would resurrect stale values.
@@ -157,6 +186,7 @@ func TestDurableClockMonotonicAcrossRestart(t *testing.T) {
 	}
 	w.Close()
 	// No Close: clock state must be recoverable from the WAL alone.
+	mc.crash()
 
 	mc2 := openDurable(t, dir)
 	defer mc2.Close()
@@ -193,6 +223,7 @@ func TestDurableTornWALTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	mc.crash()
 	// Tear the last record in every WAL segment file.
 	walDir := filepath.Join(dir, "wal")
 	des, err := os.ReadDir(walDir)

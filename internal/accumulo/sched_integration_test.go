@@ -15,6 +15,7 @@ import (
 
 	"graphulo/internal/sched"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // waitUntil polls cond to true, failing the test after a generous
@@ -95,7 +96,7 @@ func TestSharedScanFoldOnePhysicalPass(t *testing.T) {
 	if len(want) != 40 {
 		t.Fatalf("reference scan returned %d entries, want 40", len(want))
 	}
-	foldsBase := mc.Metrics.SharedScanFolds.Load()
+	foldsBase := mc.Counts()[telemetry.SharedScanFolds]
 
 	unblock := holdPassSlot(t, conn)
 	results := make([][]skv.Entry, 2)
@@ -122,10 +123,10 @@ func TestSharedScanFoldOnePhysicalPass(t *testing.T) {
 	// one folded onto it — before the slot frees, or there is nothing to
 	// pin.
 	waitUntil(t, "second scan to fold onto the first",
-		func() bool { return mc.Metrics.SharedScanFolds.Load() == foldsBase+1 })
+		func() bool { return mc.Counts()[telemetry.SharedScanFolds] == foldsBase+1 })
 	waitUntil(t, "fold leader to queue for the pass slot",
 		func() bool { return mc.Scheduler().PassesQueued() >= 1 })
-	passesBase := mc.Metrics.TabletScans.Load()
+	passesBase := mc.Counts()[telemetry.TabletScans]
 	unblock()
 	wg.Wait()
 
@@ -142,10 +143,10 @@ func TestSharedScanFoldOnePhysicalPass(t *testing.T) {
 			}
 		}
 	}
-	if d := mc.Metrics.TabletScans.Load() - passesBase; d != 1 {
+	if d := mc.Counts()[telemetry.TabletScans] - passesBase; d != 1 {
 		t.Errorf("two folded scans executed %d physical tablet passes, want exactly 1", d)
 	}
-	if d := mc.Metrics.SharedScanFolds.Load() - foldsBase; d != 1 {
+	if d := mc.Counts()[telemetry.SharedScanFolds] - foldsBase; d != 1 {
 		t.Errorf("SharedScanFolds advanced by %d, want 1", d)
 	}
 }
@@ -163,7 +164,7 @@ func TestFoldSubscriberEarlyClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foldsBase := mc.Metrics.SharedScanFolds.Load()
+	foldsBase := mc.Counts()[telemetry.SharedScanFolds]
 
 	unblock := holdPassSlot(t, conn)
 	// Sequence the joins so the surviving stream is deterministically the
@@ -187,7 +188,7 @@ func TestFoldSubscriberEarlyClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "second scan to fold onto the first",
-		func() bool { return mc.Metrics.SharedScanFolds.Load() == foldsBase+1 })
+		func() bool { return mc.Counts()[telemetry.SharedScanFolds] == foldsBase+1 })
 	// The follower's Close blocks until the leader drops it from the
 	// fold, which needs the pass to run — release the slot concurrently.
 	var closed sync.WaitGroup

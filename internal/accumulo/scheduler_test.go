@@ -8,6 +8,7 @@ import (
 
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // TestSustainedIngestBoundedRuns is the acceptance test for the
@@ -131,10 +132,10 @@ func TestSustainedIngestBoundedRuns(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := mc.Metrics.MajorCompactions.Load(); got == 0 {
+	if got := mc.Counts()[telemetry.MajorCompactions]; got == 0 {
 		t.Fatal("no automatic major compactions recorded")
 	}
-	if got := mc.Metrics.MajorCompactionErrors.Load(); got != 0 {
+	if got := mc.Counts()[telemetry.MajorCompactionErrors]; got != 0 {
 		t.Fatalf("%d scheduled compactions failed", got)
 	}
 

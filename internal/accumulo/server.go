@@ -94,23 +94,23 @@ func (h *clusterHandler) Stream(op byte, req []byte, send func([]byte) error) er
 	defer h.mc.Metrics.ScansInFlight.Add(-1)
 	// The pass record is detached: cluster-launched servers run in the
 	// coordinator process, whose /queries listing should stay kernel-only.
-	// TabletScans land in the global Metrics via noteScanStart above; the
-	// trailer's copy reaches only the query (the coordinator never folds
-	// local trailers into its globals).
+	// The pass counts its own TabletScans; the global count is added here,
+	// because the coordinator never folds local trailers into its globals.
+	h.mc.stats.Add(telemetry.TabletScans, 1)
 	pass := telemetry.NewPass(telemetry.TraceID(sr.traceID), sr.spanID,
 		passName(sr), h.mc.tel.Host()).WithTenant(sr.tenant)
 	env := &scanEnv{backend: h.mc, tc: traceCtx{q: pass, nested: true}}
 	defer env.close()
-	before := h.mc.StorageStats()
+	var before, after telemetry.Counts
+	h.mc.dir.AddCounts(&before)
 	err = serveScan(tab.SnapshotForFamilies(sr.tenant, sr.families), sr.ranges, sr.settings, env, sr.batch, pass, send)
-	after := h.mc.StorageStats()
-	// Storage deltas are attributed to this pass; concurrent passes in
-	// the same process blur the split, but the totals stay exact.
-	pass.Add(telemetry.CacheHits, after.CacheHits-before.CacheHits)
-	pass.Add(telemetry.CacheMisses, after.CacheMisses-before.CacheMisses)
-	pass.Add(telemetry.BloomNegatives, after.BloomNegatives-before.BloomNegatives)
-	pass.Add(telemetry.ColQBloomNegatives, after.ColQBloomNegatives-before.ColQBloomNegatives)
-	pass.Add(telemetry.LocalityBlocksSkipped, after.LocalityBlocksSkipped-before.LocalityBlocksSkipped)
+	h.mc.dir.AddCounts(&after)
+	// Storage deltas are attributed to this pass only — the read path
+	// already counted them globally. Concurrent passes in the same
+	// process blur the split, but the totals stay exact.
+	for c := range after {
+		pass.Add(telemetry.Counter(c), after[c]-before[c])
+	}
 	finishPass(pass, h.mc.tel, err, send)
 	return err
 }

@@ -97,10 +97,10 @@ type tabletScan struct {
 type scanBackend interface {
 	openStream(table string, ranges []skv.Range, families []string, extra []iterator.Setting, tc traceCtx) (*EntryStream, error)
 	writeEntries(table string, entries []skv.Entry, q *telemetry.Query) error
-	// metrics returns the backend's metrics sink, so server-side
-	// iterator counters (range pruning, pre-aggregation folds) land in
-	// the right process's counters.
-	metrics() *Metrics
+	// globals returns the backend process's global counter set, so
+	// server-side iterator counters (range pruning, pre-aggregation
+	// folds) land in the right process's counters.
+	globals() *telemetry.StatSet
 }
 
 // startStream builds the cursor and launches per-tablet fetch workers
@@ -155,7 +155,7 @@ func startStream(metrics *Metrics, par, n int, fetch func(i int, out *tabletScan
 // scope + per-scan extras) and the per-tablet clip of every range, and
 // relays the streamed batches to the cursor. Tablets no range touches
 // are pruned without a scan pass (SpRef push-down), counted in
-// Metrics.TabletsPrunedByRange. An empty range list means the full
+// the tablets_pruned_by_range counter. An empty range list means the full
 // table. A non-empty families set rides every per-tablet request so the
 // serving tablets scope their snapshots to the matching locality
 // groups.
@@ -164,16 +164,14 @@ func (mc *MiniCluster) openStream(table string, ranges []skv.Range, families []s
 	if err != nil {
 		return nil, err
 	}
-	mc.Metrics.ScansStarted.Add(1)
-	tc.q.Add(telemetry.ScansStarted, 1)
+	mc.stats.Count(tc.q, telemetry.ScansStarted, 1)
 	ranges, empty := normalizeRanges(ranges)
 	if empty {
 		// Every requested range is empty: a scan of nothing.
 		return startStream(&mc.Metrics, 1, 0, nil), nil
 	}
 	tablets, pruned := meta.tabletsOverlappingRanges(ranges)
-	mc.Metrics.TabletsPrunedByRange.Add(int64(pruned))
-	tc.q.Add(telemetry.TabletsPrunedByRange, int64(pruned))
+	mc.stats.Count(tc.q, telemetry.TabletsPrunedByRange, int64(pruned))
 	settings := append(meta.scopeStack(ScanScope), extra...)
 	// The routing topology is identical for every tablet of the scan;
 	// encode it once and splice the bytes into each request.
@@ -181,14 +179,15 @@ func (mc *MiniCluster) openStream(table string, ranges []skv.Range, families []s
 	q := tc.q
 	span := q.StartSpan(tc.parent, "scan "+table)
 	// Trailer folding: the pass's counters and spans always land in the
-	// query; they reach the cluster-global Metrics only when the serving
-	// process is external — MiniCluster-launched servers already share
-	// mc.Metrics, so folding would double count.
+	// query; its mirrored counters reach the cluster's global set only
+	// when the serving process is external — MiniCluster-launched
+	// servers already count into mc.stats, so folding would double
+	// count.
 	external := mc.external()
 	onTrailer := func(t *telemetry.Trailer) error {
 		q.FoldTrailer(t)
 		if external {
-			foldTrailerMetrics(&mc.Metrics, t)
+			mc.stats.AddMirrored(t.Counts)
 			mc.tel.ScanPass.Fold(t.ScanPass)
 		}
 		// Budgets are enforced where the counters land: the trailer is how
@@ -222,7 +221,7 @@ func (mc *MiniCluster) openStream(table string, ranges []skv.Range, families []s
 				// No pass limit configured — or a nested scan issued from
 				// inside a pass that already holds a slot: dispatch
 				// immediately, the pre-scheduler behaviour.
-				relayScan(mc.tr, &mc.Metrics, q, tr.endpoint, reqFor(clipped), out, done, onTrailer)
+				relayScan(mc.tr, &mc.Metrics, &mc.stats, q, tr.endpoint, reqFor(clipped), out, done, onTrailer)
 				return
 			}
 			// Pass-limited dispatch. Join the fold group for this tablet
@@ -232,8 +231,7 @@ func (mc *MiniCluster) openStream(table string, ranges []skv.Range, families []s
 			sub := &foldSub{ranges: clipped, out: out, q: q, done: done, finished: make(chan struct{})}
 			g, leader := mc.folds.Join(foldKey(tr.endpoint, table, tr.start, tr.end, settings, mc.cfg.WireBatch, families), sub)
 			if !leader {
-				mc.Metrics.SharedScanFolds.Add(1)
-				q.Add(telemetry.SharedScanFolds, 1)
+				mc.stats.Count(q, telemetry.SharedScanFolds, 1)
 				// The worker must stay alive until the leader is done with
 				// our channels: returning here would close out.batches
 				// under the leader's sends.
@@ -243,12 +241,12 @@ func (mc *MiniCluster) openStream(table string, ranges []skv.Range, families []s
 			release, wait := mc.sched.AcquirePass(q.Tenant())
 			defer release()
 			if wait > 0 {
-				q.Add(telemetry.QueueWaitNanos, int64(wait))
+				mc.stats.Count(q, telemetry.QueueWaitNanos, int64(wait))
 				mc.tel.QueueWait.Observe(wait)
 			}
 			subs := g.Seal()
 			if len(subs) == 1 {
-				relayScan(mc.tr, &mc.Metrics, q, tr.endpoint, reqFor(clipped), out, done, onTrailer)
+				relayScan(mc.tr, &mc.Metrics, &mc.stats, q, tr.endpoint, reqFor(clipped), out, done, onTrailer)
 				return
 			}
 			// One physical pass over the union of every subscriber's
@@ -349,7 +347,7 @@ func (mc *MiniCluster) runFoldedScan(endpoint string, req []byte, subs []*foldSu
 			close(sub.finished)
 		}
 	}
-	err := relayScanCore(mc.tr, &mc.Metrics, leader.q, endpoint, req, nil, onTrailer,
+	err := relayScanCore(mc.tr, &mc.stats, leader.q, endpoint, req, nil, onTrailer,
 		func(batch []skv.Entry) error {
 			for _, sub := range subs {
 				if sub.dead {
@@ -370,8 +368,7 @@ func (mc *MiniCluster) runFoldedScan(endpoint string, req []byte, subs []*foldSu
 				mc.Metrics.noteBuffered(mc.Metrics.EntriesBuffered.Add(int64(len(clipped))))
 				select {
 				case sub.out.batches <- clipped:
-					mc.Metrics.EntriesScanned.Add(int64(len(clipped)))
-					sub.q.Add(telemetry.EntriesScanned, int64(len(clipped)))
+					mc.stats.Count(sub.q, telemetry.EntriesScanned, int64(len(clipped)))
 					if err := sub.q.ChargeScanEntries(int64(len(clipped))); err != nil {
 						sub.out.err = err
 						drop(sub)
@@ -396,24 +393,8 @@ func (mc *MiniCluster) runFoldedScan(endpoint string, req []byte, subs []*foldSu
 	}
 }
 
-// foldTrailerMetrics adds an external pass's shipped counters into the
-// coordinator's cluster-global Metrics — the step that keeps ScanStats
-// accurate when tablet servers run in other processes. Counters with no
-// global mirror (cache, bloom, compaction kicks) stay query-scoped.
-func foldTrailerMetrics(m *Metrics, t *telemetry.Trailer) {
-	m.TabletScans.Add(t.Counts.Get(telemetry.TabletScans))
-	m.TabletsPrunedByRange.Add(t.Counts.Get(telemetry.TabletsPrunedByRange))
-	m.EntriesPrunedByRange.Add(t.Counts.Get(telemetry.EntriesPrunedByRange))
-	m.PartialProductsFolded.Add(t.Counts.Get(telemetry.PartialProductsFolded))
-	m.WireBytes.Add(t.Counts.Get(telemetry.WireBytes))
-	m.RPCs.Add(t.Counts.Get(telemetry.RPCs))
-	m.EntriesScanned.Add(t.Counts.Get(telemetry.EntriesScanned))
-	m.EntriesWritten.Add(t.Counts.Get(telemetry.EntriesWritten))
-	m.ScansStarted.Add(t.Counts.Get(telemetry.ScansStarted))
-}
-
-// metrics implements scanBackend.
-func (mc *MiniCluster) metrics() *Metrics { return &mc.Metrics }
+// globals implements scanBackend.
+func (mc *MiniCluster) globals() *telemetry.StatSet { return &mc.stats }
 
 // normalizeRanges coalesces a scan's requested ranges. No ranges at all
 // means the full range; ranges that are all empty mean an empty scan
@@ -443,12 +424,13 @@ func clipRanges(ranges []skv.Range, start, end string) []skv.Range {
 // relays decoded batches to the cursor channel with backpressure,
 // honouring cancellation from the consumer side (done) and failure from
 // the server side (Recv errors). Shared by the MiniCluster client and
-// the standalone tablet server's nested scans. Wire traffic is counted
-// into both the process Metrics and the query q (nil = untraced); a
-// telemetry trailer frame — the stream's final payload — is handed to
-// onTrailer (nil = dropped).
-func relayScan(tr transport.Transport, metrics *Metrics, q *telemetry.Query, endpoint string, req []byte, out *tabletScan, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error) {
-	err := relayScanCore(tr, metrics, q, endpoint, req, done, onTrailer,
+// the standalone tablet server's nested scans. metrics takes the
+// buffered-entry gauges; wire traffic is counted into both the process
+// counter set stats and the query q (nil = untraced); a telemetry
+// trailer frame — the stream's final payload — is handed to onTrailer
+// (nil = dropped).
+func relayScan(tr transport.Transport, metrics *Metrics, stats *telemetry.StatSet, q *telemetry.Query, endpoint string, req []byte, out *tabletScan, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error) {
+	err := relayScanCore(tr, stats, q, endpoint, req, done, onTrailer,
 		func(batch []skv.Entry) error {
 			metrics.noteBuffered(metrics.EntriesBuffered.Add(int64(len(batch))))
 			select {
@@ -456,8 +438,7 @@ func relayScan(tr transport.Transport, metrics *Metrics, q *telemetry.Query, end
 				// Only batches the consumer can still receive count as
 				// returned to the scan client — and only counted batches
 				// charge the query's scan budget.
-				metrics.EntriesScanned.Add(int64(len(batch)))
-				q.Add(telemetry.EntriesScanned, int64(len(batch)))
+				stats.Count(q, telemetry.EntriesScanned, int64(len(batch)))
 				return q.ChargeScanEntries(int64(len(batch)))
 			case <-done:
 				metrics.EntriesBuffered.Add(-int64(len(batch)))
@@ -479,9 +460,9 @@ var errRelayStop = errors.New("accumulo: relay stopped")
 // cursor channel; the folded path fans out to every subscriber). A
 // deliver error stops the relay — errRelayStop silently, anything else
 // as the relay's failure. done (nil = never) unblocks a relay stuck in
-// Recv when the consumer cancels. Wire traffic is counted into metrics
+// Recv when the consumer cancels. Wire traffic is counted into stats
 // and q; the telemetry trailer frame goes to onTrailer (nil = dropped).
-func relayScanCore(tr transport.Transport, metrics *Metrics, q *telemetry.Query, endpoint string, req []byte, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error, deliver func([]skv.Entry) error) error {
+func relayScanCore(tr transport.Transport, stats *telemetry.StatSet, q *telemetry.Query, endpoint string, req []byte, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error, deliver func([]skv.Entry) error) error {
 	conn, err := tr.Dial(endpoint)
 	if err != nil {
 		return err
@@ -513,8 +494,7 @@ func relayScanCore(tr transport.Transport, metrics *Metrics, q *telemetry.Query,
 		if err != nil {
 			return err
 		}
-		metrics.WireBytes.Add(int64(len(payload)))
-		q.Add(telemetry.WireBytes, int64(len(payload)))
+		stats.Count(q, telemetry.WireBytes, int64(len(payload)))
 		if len(payload) == 0 {
 			return fmt.Errorf("accumulo: wire corruption: empty scan frame")
 		}
@@ -540,8 +520,7 @@ func relayScanCore(tr transport.Transport, metrics *Metrics, q *telemetry.Query,
 		default:
 			return fmt.Errorf("accumulo: wire corruption: unknown scan frame kind %d", kind)
 		}
-		metrics.RPCs.Add(1)
-		q.Add(telemetry.RPCs, 1)
+		stats.Count(q, telemetry.RPCs, 1)
 		batch, err := skv.DecodeBatch(body)
 		if err != nil {
 			return fmt.Errorf("accumulo: wire corruption: %w", err)
@@ -698,15 +677,13 @@ func (e *scanEnv) WriteEntries(table string, entries []skv.Entry) error {
 // CountRangePruned implements iterator.Counters: entries a server-side
 // range filter dropped.
 func (e *scanEnv) CountRangePruned(n int) {
-	e.backend.metrics().EntriesPrunedByRange.Add(int64(n))
-	e.tc.q.Add(telemetry.EntriesPrunedByRange, int64(n))
+	e.backend.globals().Count(e.tc.q, telemetry.EntriesPrunedByRange, int64(n))
 }
 
 // CountFolded implements iterator.Counters: partial products absorbed
 // by RemoteWrite pre-aggregation.
 func (e *scanEnv) CountFolded(n int) {
-	e.backend.metrics().PartialProductsFolded.Add(int64(n))
-	e.tc.q.Add(telemetry.PartialProductsFolded, int64(n))
+	e.backend.globals().Count(e.tc.q, telemetry.PartialProductsFolded, int64(n))
 }
 
 // close releases every remote stream this env's iterators opened.

@@ -169,9 +169,10 @@ func dropScratch(conn *accumulo.Connector, names []string, err *error) {
 }
 
 // noteScratch counts a driver-materialised intermediate table in the
-// cluster metrics — the round-trip the fused drivers exist to avoid.
-func noteScratch(conn *accumulo.Connector) {
-	conn.Cluster().Metrics.ScratchTablesCreated.Add(1)
+// cluster's and the query's counters — the round-trip the fused
+// drivers exist to avoid.
+func noteScratch(conn *accumulo.Connector, q *telemetry.Query) {
+	conn.Cluster().Count(q, telemetry.ScratchTablesCreated, 1)
 }
 
 // planReadAssoc reads a whole table into an associative array through a
@@ -295,7 +296,7 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 			}
 		}
 		scratchTables = append(scratchTables, next)
-		noteScratch(conn)
+		noteScratch(conn, q)
 		if err := createSumTable(conn, next); err != nil {
 			return iterCount, err
 		}
@@ -332,7 +333,7 @@ func KTrussAdjTableMaterialized(conn *accumulo.Connector, table, outTable string
 			}
 		}
 		scratchTables = append(scratchTables, tmp)
-		noteScratch(conn)
+		noteScratch(conn, q)
 		if _, err := TableMult(conn, cur, cur, tmp, MultOptions{Query: q}); err != nil {
 			return iterCount, err
 		}
@@ -375,7 +376,7 @@ func KTrussAdjTableMaterialized(conn *accumulo.Connector, table, outTable string
 			}
 		}
 		scratchTables = append(scratchTables, next)
-		noteScratch(conn)
+		noteScratch(conn, q)
 		if err := createSumTable(conn, next); err != nil {
 			return iterCount, err
 		}
@@ -438,7 +439,7 @@ func JaccardTableMaterialized(conn *accumulo.Connector, table, degTable, outTabl
 		}
 	}
 	defer dropScratch(conn, []string{tmp}, &err)
-	noteScratch(conn)
+	noteScratch(conn, q)
 	if _, err := TableMult(conn, table, table, tmp, MultOptions{Query: q}); err != nil {
 		return 0, err
 	}
@@ -616,7 +617,7 @@ func TriangleCountTableMaterialized(conn *accumulo.Connector, table, scratch str
 		}
 	}
 	defer dropScratch(conn, []string{tmp}, &err)
-	noteScratch(conn)
+	noteScratch(conn, q)
 	if _, err := TableMult(conn, table, table, tmp, MultOptions{Query: q}); err != nil {
 		return 0, err
 	}

@@ -37,10 +37,10 @@ import (
 // ScanConstraint restricts a kernel to a sub-associative-array — the
 // SpRef push-down of §II. The row band is pushed into the scan itself,
 // so only tablets it overlaps execute the kernel's iterator stack
-// (pruned tablets count in Metrics.TabletsPrunedByRange) and, on a
+// (pruned tablets count in tablets_pruned_by_range) and, on a
 // durable cluster, rfile row-index and bloom pruning apply; the
 // column-qualifier band runs as a server-side filter below the kernel
-// stages (dropped entries count in Metrics.EntriesPrunedByRange). The
+// stages (dropped entries count in entries_pruned_by_range). The
 // zero value constrains nothing.
 type ScanConstraint struct {
 	// RowStart/RowEnd bound the scanned rows, half-open [RowStart,
@@ -54,7 +54,7 @@ type ScanConstraint struct {
 	// server-side per entry, the family constraint is pushed into
 	// storage: tablets serve it from the matching rfile locality groups
 	// only, skipping every other family's blocks
-	// (Metrics.LocalityBlocksSkipped counts the savings).
+	// (the locality_blocks_skipped counter measures the savings).
 	Families []string
 }
 

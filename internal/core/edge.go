@@ -102,7 +102,7 @@ func KTrussEdgeTable(conn *accumulo.Connector, inc *schema.IncidenceSchema, k in
 		// concurrent k-truss runs over the same outBase never collide —
 		// and reclaimed on the way out now that each run names its own.
 		scratch := func(name string) string {
-			noteScratch(conn)
+			noteScratch(conn, q)
 			t := fmt.Sprintf("%s_%s%d_%s", outBase, name, round, trace)
 			scratchTables = append(scratchTables, t)
 			return t

@@ -11,6 +11,7 @@ import (
 	"graphulo/internal/accumulo"
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // loadSplitMatrix builds a summing table with the given splits and a
@@ -73,9 +74,9 @@ func TestTableMultRangeConstrainedPrunesTablets(t *testing.T) {
 	full := readMatrix(t, conn, "Cfull")
 
 	// Banded product: inner rows [i016, i032) — exactly 2 of 16 tablets.
-	m := &conn.Cluster().Metrics
-	passesBefore := m.TabletScans.Load()
-	prunedBefore := m.TabletsPrunedByRange.Load()
+	m := conn.Cluster()
+	passesBefore := m.Counts()[telemetry.TabletScans]
+	prunedBefore := m.Counts()[telemetry.TabletsPrunedByRange]
 	band := ScanConstraint{RowStart: innerRow(16), RowEnd: innerRow(32)}
 	n, err := TableMult(conn, "ATb", "Bb", "Cband", MultOptions{Constraint: band})
 	if err != nil {
@@ -84,8 +85,8 @@ func TestTableMultRangeConstrainedPrunesTablets(t *testing.T) {
 	if n == 0 {
 		t.Fatal("banded multiply wrote nothing")
 	}
-	passes := m.TabletScans.Load() - passesBefore
-	pruned := m.TabletsPrunedByRange.Load() - prunedBefore
+	passes := m.Counts()[telemetry.TabletScans] - passesBefore
+	pruned := m.Counts()[telemetry.TabletsPrunedByRange] - prunedBefore
 
 	// The band overlaps 2 B tablets (the kernel passes), and each pass
 	// seeds its remote AT scan with the pushed band ∩ its own tablet's
@@ -130,13 +131,13 @@ func TestTableMultColumnBandFiltersServerSide(t *testing.T) {
 	loadSplitMatrix(t, conn, "ATc", nil, 8, 3, val)
 	loadSplitMatrix(t, conn, "Bc", nil, 8, 6, val)
 
-	m := &conn.Cluster().Metrics
-	before := m.EntriesPrunedByRange.Load()
+	m := conn.Cluster()
+	before := m.Counts()[telemetry.EntriesPrunedByRange]
 	band := ScanConstraint{ColQStart: "c02", ColQEnd: "c04"}
 	if _, err := TableMult(conn, "ATc", "Bc", "Ccol", MultOptions{Constraint: band}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.EntriesPrunedByRange.Load() - before; got == 0 {
+	if got := m.Counts()[telemetry.EntriesPrunedByRange] - before; got == 0 {
 		t.Error("column band pruned no entries server-side")
 	}
 	got := readMatrix(t, conn, "Ccol")
@@ -245,17 +246,17 @@ func TestPreAggIdenticalResultsAcrossSemirings(t *testing.T) {
 			loadSplitMatrix(t, conn, "ATp", []string{innerRow(16)}, 32, 3, val)
 			loadSplitMatrix(t, conn, "Bp", []string{innerRow(16)}, 32, 4, val)
 
-			m := &conn.Cluster().Metrics
+			m := conn.Cluster()
 			nOff, err := TableMult(conn, "ATp", "Bp", "Coff", MultOptions{Semiring: ring, PreAggBytes: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			foldedBefore := m.PartialProductsFolded.Load()
+			foldedBefore := m.Counts()[telemetry.PartialProductsFolded]
 			nOn, err := TableMult(conn, "ATp", "Bp", "Con", MultOptions{Semiring: ring})
 			if err != nil {
 				t.Fatal(err)
 			}
-			folded := m.PartialProductsFolded.Load() - foldedBefore
+			folded := m.Counts()[telemetry.PartialProductsFolded] - foldedBefore
 			if folded == 0 {
 				t.Error("pre-aggregation folded nothing")
 			}
@@ -319,14 +320,14 @@ func TestTableMultClientHonorsBatchSize(t *testing.T) {
 	loadMatrix(t, conn, "Bw", inner, []string{"b0", "b1"},
 		[][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}})
 
-	m := &conn.Cluster().Metrics
+	m := conn.Cluster()
 	run := func(tableC string, batch int) (products int, rpcs int64) {
-		before := m.RPCs.Load()
+		before := m.Counts()[telemetry.RPCs]
 		n, err := TableMultClient(conn, "ATw", "Bw", tableC, MultOptions{BatchSize: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n, m.RPCs.Load() - before
+		return n, m.Counts()[telemetry.RPCs] - before
 	}
 	nBig, rpcsBig := run("CwBig", 0)
 	nOne, rpcsOne := run("CwOne", 1)
@@ -375,8 +376,8 @@ func TestScannerMultiRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &conn.Cluster().Metrics
-	prunedBefore := m.TabletsPrunedByRange.Load()
+	m := conn.Cluster()
+	prunedBefore := m.Counts()[telemetry.TabletsPrunedByRange]
 	sc.SetRanges([]skv.Range{
 		skv.RowRange(innerRow(40), innerRow(48)),
 		skv.RowRange(innerRow(0), innerRow(8)),
@@ -402,7 +403,7 @@ func TestScannerMultiRange(t *testing.T) {
 		}
 	}
 	// Ranges cover tablets 0, 5, and 6 — the other 13 must be pruned.
-	if got := m.TabletsPrunedByRange.Load() - prunedBefore; got != 13 {
+	if got := m.Counts()[telemetry.TabletsPrunedByRange] - prunedBefore; got != 13 {
 		t.Errorf("multi-range scan pruned %d tablets, want 13", got)
 	}
 

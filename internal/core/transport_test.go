@@ -18,6 +18,7 @@ import (
 	"graphulo/internal/iterator"
 	"graphulo/internal/schema"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // transportConfigs returns one identically sized cluster config per
@@ -128,14 +129,14 @@ func TestKernelTransportEquivalence(t *testing.T) {
 		// 1 client scan of B + 1 remote scan of AT per tablet pass.
 		buildMultInputs(t, conn)
 		res.inputs = append(tableEntries(t, conn, "ATe"), tableEntries(t, conn, "Be")...)
-		m := &conn.Cluster().Metrics
-		before := m.ScansStarted.Load()
+		m := conn.Cluster()
+		before := m.Counts()[telemetry.ScansStarted]
 		n, err := TableMult(conn, "ATe", "Be", "Ce", MultOptions{})
 		if err != nil {
 			t.Fatalf("%s: TableMult: %v", name, err)
 		}
 		res.written = n
-		res.multScans = m.ScansStarted.Load() - before
+		res.multScans = m.Counts()[telemetry.ScansStarted] - before
 		res.mult = cellValues(t, conn, "Ce")
 
 		// OneTable: Apply with an indicator.

@@ -467,7 +467,7 @@ func (w *RemoteWriteIterator) Next() error {
 // column-qualifier half of SpRef push-down, running server-side so
 // pruned entries never reach the partial-product stage or the wire.
 // Dropped entries are counted through the env's Counters
-// (Metrics.EntriesPrunedByRange on a cluster).
+// (the entries_pruned_by_range counter on a cluster).
 type ColQRangeIter struct {
 	src      SKVI
 	min, max string

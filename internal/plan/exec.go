@@ -92,7 +92,7 @@ func (p *Plan) runStep(step *Step, env Env) (*Result, error) {
 					return nil, err
 				}
 			}
-			env.Conn.Cluster().Metrics.ScratchTablesCreated.Add(1)
+			env.Conn.Cluster().Count(env.Query, telemetry.ScratchTablesCreated, 1)
 		}
 		if env.EnsureTable == nil {
 			return nil, fmt.Errorf("plan: write sink %q needs Env.EnsureTable", step.OutTable)

@@ -9,6 +9,7 @@
 //	MANIFEST          JSON: logical clock, id allocator, and per table
 //	                  the splits, iterator settings, and per-tablet
 //	                  rfile lists
+//	LOCK              flock'd by the one Dir that has the directory open
 //	wal/t<ID>-<seq>.wal  WAL segments for tablet <ID>
 //	rf/r<ID>.rf          immutable rfiles
 //
@@ -25,6 +26,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,11 +40,13 @@ import (
 	"graphulo/internal/rfile"
 	"graphulo/internal/skv"
 	"graphulo/internal/tablet"
+	"graphulo/internal/telemetry"
 	"graphulo/internal/wal"
 )
 
 const (
 	manifestName = "MANIFEST"
+	lockName     = "LOCK"
 	walDirName   = "wal"
 	rfDirName    = "rf"
 )
@@ -89,7 +93,14 @@ type Dir struct {
 	mu     sync.Mutex
 	man    manifest
 	stores map[int64]*TabletStore // open tablet stores by tablet id
+	// lock holds the exclusive lock on LOCK until Close or Abandon.
+	lock *os.File
+	// abandoned makes every later disk mutation fail (see Abandon).
+	abandoned bool
 }
+
+// errAbandoned fails disk mutations on an abandoned directory.
+var errAbandoned = errors.New("store: data dir abandoned")
 
 // Options tunes the directory.
 type Options struct {
@@ -120,14 +131,25 @@ type Options struct {
 
 // Open loads (or initialises) the data directory at path and
 // garbage-collects files orphaned by a crash between a file write and
-// its manifest commit.
-func Open(path string, opts Options) (*Dir, error) {
+// its manifest commit. The directory stays locked until Close: a second
+// Open of it, from this process or another, fails.
+func Open(path string, opts Options) (_ *Dir, err error) {
 	for _, sub := range []string{path, filepath.Join(path, walDirName), filepath.Join(path, rfDirName)} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, err
 		}
 	}
+	lock, err := lockDir(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
 	d := &Dir{
+		lock:    lock,
 		path:    path,
 		opts:    opts,
 		stores:  map[int64]*TabletStore{},
@@ -220,6 +242,9 @@ func (d *Dir) gc() error {
 // writeManifestLocked persists the manifest atomically; caller holds
 // d.mu.
 func (d *Dir) writeManifestLocked() error {
+	if d.abandoned {
+		return errAbandoned
+	}
 	d.man.Clock = d.clock()
 	raw, err := json.MarshalIndent(&d.man, "", "  ")
 	if err != nil {
@@ -478,7 +503,24 @@ func (d *Dir) Close() error {
 	if err := d.writeManifestLocked(); err != nil && firstErr == nil {
 		firstErr = err
 	}
+	if err := d.lock.Close(); err != nil && firstErr == nil {
+		firstErr = err
+	}
 	return firstErr
+}
+
+// Abandon leaves the directory as a killed process would: nothing is
+// flushed or synced and the WALs stay as they are, every later rfile
+// write or manifest commit fails instead of reaching the disk, and the
+// lock is released so a new Open can recover the directory. A mutation
+// already holding the directory finishes first. The caller must have
+// stopped writing to the directory's WALs. Failed cluster recovery and
+// crash-recovery tests use it.
+func (d *Dir) Abandon() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.abandoned = true
+	d.lock.Close()
 }
 
 // readerOptions wires a new rfile Reader into the directory's shared
@@ -487,30 +529,28 @@ func (d *Dir) readerOptions() rfile.ReaderOptions {
 	return rfile.ReaderOptions{Cache: d.blockCache, Stats: &d.rfStats}
 }
 
-// StorageCounters is a snapshot of a data directory's read-path
-// counters: block cache traffic and bloom-filter negative lookups.
-type StorageCounters struct {
-	CacheHits             int64
-	CacheMisses           int64
-	BloomNegatives        int64 // single-row seeks pruned by the row bloom
-	ColQBloomNegatives    int64 // single-cell seeks pruned by the (row, colQ) bloom
-	LocalityBlocksSkipped int64 // blocks skipped via locality-group family runs
-}
-
-// StorageStats snapshots the directory's read-path counters.
-func (d *Dir) StorageStats() StorageCounters {
-	return StorageCounters{
-		CacheHits:             d.blockCache.Hits(),
-		CacheMisses:           d.blockCache.Misses(),
-		BloomNegatives:        d.rfStats.BloomNegatives.Load(),
-		ColQBloomNegatives:    d.rfStats.ColQBloomNegatives.Load(),
-		LocalityBlocksSkipped: d.rfStats.LocalityBlocksSkipped.Load(),
+// AddCounts adds the directory's read-path counters into k: block-cache
+// hits and misses, and the rfile bloom negatives and locality-group
+// block skips. The cache and rfile.Stats stay their source; this is the
+// view the process-global counters read them through. A nil Dir (an
+// in-memory cluster) adds nothing.
+func (d *Dir) AddCounts(k *telemetry.Counts) {
+	if d == nil {
+		return
 	}
+	k[telemetry.CacheHits] += d.blockCache.Hits()
+	k[telemetry.CacheMisses] += d.blockCache.Misses()
+	k[telemetry.BloomNegatives] += d.rfStats.BloomNegatives.Load()
+	k[telemetry.ColQBloomNegatives] += d.rfStats.ColQBloomNegatives.Load()
+	k[telemetry.LocalityBlocksSkipped] += d.rfStats.LocalityBlocksSkipped.Load()
 }
 
 // newRFileLocked writes entries to a fresh rfile and opens a reader on
 // it. Caller holds d.mu. Empty entries yield ("", nil, nil).
 func (d *Dir) newRFileLocked(entries []skv.Entry) (string, *rfile.Reader, error) {
+	if d.abandoned {
+		return "", nil, errAbandoned
+	}
 	if len(entries) == 0 {
 		return "", nil, nil
 	}
@@ -584,11 +624,12 @@ func (ts *TabletStore) Flush(entries []skv.Entry, mark uint64) (*rfile.Reader, e
 			return nil, err
 		}
 	}
-	d.mu.Unlock()
 	// Best effort: the flush is durable once the manifest commits. A
 	// segment that survives a failed delete is replayed after a crash,
-	// which the memtable-first merge order dedupes harmlessly.
+	// which the memtable-first merge order dedupes harmlessly. The drop
+	// stays under d.mu so it cannot outlive an Abandon.
 	ts.log.DropThrough(mark)
+	d.mu.Unlock()
 	return rd, nil
 }
 
@@ -616,9 +657,9 @@ func (ts *TabletStore) Compact(entries []skv.Entry, mark uint64) (*rfile.Reader,
 	for _, f := range old {
 		d.removeRFile(f)
 	}
-	d.mu.Unlock()
 	// Best effort, as in Flush.
 	ts.log.DropThrough(mark)
+	d.mu.Unlock()
 	return rd, nil
 }
 

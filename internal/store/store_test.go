@@ -98,7 +98,13 @@ func TestTabletFlushCompactRecover(t *testing.T) {
 			}
 		}
 	}
-	// Unclean shutdown: no Close. Entries 40..59 live only in the WAL.
+	// Unclean shutdown: no Close. Entries 40..59 live only in the WAL,
+	// and an abandoned directory takes no more disk writes, so this
+	// flush must fail and leave them there.
+	d.Abandon()
+	if err := tab.MinorCompact(nil); err == nil {
+		t.Fatal("flush after Abandon succeeded")
+	}
 	d2, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // TestMultiWriterStressInMemory hammers one in-memory tablet with many
@@ -18,8 +19,8 @@ import (
 func TestMultiWriterStressInMemory(t *testing.T) {
 	const writers, perWriter = 8, 400
 	tab := New("", "", 64, 1) // tiny memtable: constant freezing under load
-	stats := &IngestStats{}
-	tab.SetIngestStats(stats)
+	stats := &telemetry.StatSet{}
+	tab.SetStats(stats)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
@@ -66,7 +67,7 @@ func TestMultiWriterStressInMemory(t *testing.T) {
 			}
 		}
 	}
-	if stats.Freezes.Load() == 0 {
+	if stats.Counts().Get(telemetry.MemtableFreezes) == 0 {
 		t.Fatal("expected memtable freezes under a 64-entry limit")
 	}
 }
@@ -76,8 +77,8 @@ func TestMultiWriterStressInMemory(t *testing.T) {
 // once the memtable's approximate byte footprint crosses SetFlushBytes.
 func TestMemtableByteTriggerFreezes(t *testing.T) {
 	tab := New("", "", 1<<20, 1) // count limit effectively off
-	stats := &IngestStats{}
-	tab.SetIngestStats(stats)
+	stats := &telemetry.StatSet{}
+	tab.SetStats(stats)
 	tab.SetFlushBytes(4 << 10)
 	wide := make([]byte, 512)
 	for i := 0; i < 64; i++ {
@@ -89,7 +90,7 @@ func TestMemtableByteTriggerFreezes(t *testing.T) {
 	if err := tab.WaitFlush(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Freezes.Load() == 0 {
+	if stats.Counts().Get(telemetry.MemtableFreezes) == 0 {
 		t.Fatal("byte trigger never froze the memtable")
 	}
 	if got := scanAll(t, tab); len(got) != 64 {

@@ -3,8 +3,9 @@ package telemetry
 // The opt-in telemetry HTTP endpoint served by coordinators
 // (Config.MetricsAddr) and `graphulo serve` daemons (-metrics-addr):
 //
-//	/metrics        Prometheus text exposition: the process counter
-//	                block plus the registry's latency histograms
+//	/metrics        Prometheus text exposition: every registry counter
+//	                and the process gauges, plus the registry's latency
+//	                histograms
 //	/queries        JSON listing of recent and in-flight queries with
 //	                their span trees
 //	/debug/pprof/*  the standard Go profiling endpoints
@@ -23,12 +24,11 @@ import (
 	"time"
 )
 
-// Sample is one process counter or gauge exported on /metrics. Name is
-// the bare metric name ("wire_bytes"); counters gain a _total suffix.
+// Sample is one process gauge exported on /metrics. Name is the bare
+// metric name ("scans_in_flight").
 type Sample struct {
 	Name  string
 	Help  string
-	Gauge bool
 	Value int64
 }
 
@@ -36,9 +36,11 @@ type Sample struct {
 type ServerConfig struct {
 	// Registry supplies the query listing and the latency histograms.
 	Registry *Registry
-	// Counters snapshots the process counter block per scrape; nil means
-	// histograms only.
-	Counters func() []Sample
+	// Counts snapshots the process-global counters per scrape; every
+	// Counter is exported as graphulo_<name>_total. nil exports none.
+	Counts func() Counts
+	// Gauges snapshots the process gauges per scrape; nil means none.
+	Gauges func() []Sample
 }
 
 // Server is a running telemetry endpoint.
@@ -100,19 +102,20 @@ func NewHandler(cfg ServerConfig) http.Handler {
 // renderMetrics produces the Prometheus text exposition.
 func renderMetrics(cfg ServerConfig) []byte {
 	var b strings.Builder
-	if cfg.Counters != nil {
-		for _, s := range cfg.Counters() {
+	if cfg.Counts != nil {
+		k := cfg.Counts()
+		for c := Counter(0); c < NumCounters; c++ {
+			name := "graphulo_" + c.String() + "_total"
+			fmt.Fprintf(&b, "# HELP %s %s\n", name, c.Help())
+			fmt.Fprintf(&b, "# TYPE %s counter\n", name)
+			fmt.Fprintf(&b, "%s %d\n", name, k[c])
+		}
+	}
+	if cfg.Gauges != nil {
+		for _, s := range cfg.Gauges() {
 			name := "graphulo_" + s.Name
-			typ := "counter"
-			if s.Gauge {
-				typ = "gauge"
-			} else {
-				name += "_total"
-			}
-			if s.Help != "" {
-				fmt.Fprintf(&b, "# HELP %s %s\n", name, s.Help)
-			}
-			fmt.Fprintf(&b, "# TYPE %s %s\n", name, typ)
+			fmt.Fprintf(&b, "# HELP %s %s\n", name, s.Help)
+			fmt.Fprintf(&b, "# TYPE %s gauge\n", name)
 			fmt.Fprintf(&b, "%s %d\n", name, s.Value)
 		}
 	}

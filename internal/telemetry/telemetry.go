@@ -1,9 +1,10 @@
 // Package telemetry is the query-scoped observability subsystem: trace
 // IDs minted per kernel invocation, spans recording where each tablet
-// pass and RemoteWrite flush ran, per-query counter sets mirroring the
-// cluster-global Metrics block, lock-free latency histograms, and the
-// export surfaces (Prometheus /metrics, JSON /queries, slow-query log)
-// built on top of them.
+// pass and RemoteWrite flush ran, the counter registry (the Counter
+// table, with one StatSet of process-global counters per process and
+// one per query), lock-free latency histograms, and the export surfaces
+// (Prometheus /metrics, JSON /queries, slow-query log) built on top of
+// them.
 //
 // The package is deliberately a leaf: it knows nothing about tablets or
 // transports. The accumulo layer threads a *Query (the coordinator's
@@ -60,12 +61,17 @@ func newID() uint64 {
 	return idCounter.Add(0x9E3779B97F4A7C15)
 }
 
-// Counter indexes one per-query counter — the query-scoped mirror of the
-// cluster-global Metrics fields, plus a few that only make sense
-// per-query.
+// Counter indexes one monotonic counter. The counter table below is the
+// only definition of a counter: its name, its /metrics help text, and
+// whether it is mirrored. Each process keeps one StatSet of them as its
+// global counters, and each Query keeps one as its per-query counters;
+// /metrics, DB.ScanMetrics, QueryStats, and trailers are all views of
+// these sets. Adding a counter means adding a constant and its table
+// entry, then bumping it where the event happens.
 type Counter int
 
-// Per-query counters.
+// Counters. The wire codec ships counters by index, so new counters are
+// appended, never inserted.
 const (
 	TabletScans Counter = iota
 	TabletsPrunedByRange
@@ -80,46 +86,83 @@ const (
 	CacheMisses
 	BloomNegatives
 	ColQBloomNegatives
-	// LocalityBlocksSkipped counts rfile data blocks a family-constrained
-	// scan skipped entirely because they belong to other column
-	// families' locality-group block runs.
 	LocalityBlocksSkipped
 	CompactionKicks
-	// WriteWireBytes counts the encoded bytes of write batches the query
-	// (or pass) shipped to tablet servers — the write-side slice of
-	// WireBytes. Shipped in trailers so the coordinator can charge a
-	// kernel's server-side RemoteWrite volume against its write budget.
+	// WriteWireBytes is the write-side slice of WireBytes. It rides
+	// trailers so the coordinator can charge a kernel's server-side
+	// RemoteWrite volume against its write budget.
 	WriteWireBytes
-	// SharedScanFolds counts scans served as followers of a shared-scan
-	// fold group: the query got its results from another scan's physical
-	// tablet pass. Coordinator-side only — never shipped in trailers.
+	// SharedScanFolds and QueueWaitNanos are coordinator-side only and
+	// never appear in trailers.
 	SharedScanFolds
-	// QueueWaitNanos totals the time the query's passes (and its
-	// admission) spent waiting in scheduler queues. Coordinator-side
-	// only — never shipped in trailers.
 	QueueWaitNanos
+	ScratchTablesCreated
+	MemtableFreezes
+	WriteStallNanos
+	MajorCompactions
+	MajorCompactionErrors
 	NumCounters
 )
 
-var counterNames = [NumCounters]string{
-	"tablet_scans",
-	"tablets_pruned_by_range",
-	"entries_pruned_by_range",
-	"partial_products_folded",
-	"wire_bytes",
-	"rpcs",
-	"entries_scanned",
-	"entries_written",
-	"scans_started",
-	"cache_hits",
-	"cache_misses",
-	"bloom_negatives",
-	"colq_bloom_negatives",
-	"locality_blocks_skipped",
-	"compaction_kicks",
-	"write_wire_bytes",
-	"shared_scan_folds",
-	"queue_wait_nanos",
+// counterDef is one registry entry. A mirrored counter is counted per
+// query at the same sites as globally, so a query's value equals the
+// global delta across it on every transport; an external tablet
+// server's trailer therefore also folds it into the coordinator's
+// global set. Unmirrored counters are read from the storage layer (and
+// attributed to passes only approximately) or have no per-query twin.
+type counterDef struct {
+	name   string
+	help   string
+	mirror bool
+}
+
+var counterDefs = [NumCounters]counterDef{
+	TabletScans: {"tablet_scans",
+		"Tablet scan passes that executed an iterator stack.", true},
+	TabletsPrunedByRange: {"tablets_pruned_by_range",
+		"Tablets skipped because a scan's pushed-down ranges missed their row band.", true},
+	EntriesPrunedByRange: {"entries_pruned_by_range",
+		"Entries dropped by server-side range filters before kernel stages or the wire.", true},
+	PartialProductsFolded: {"partial_products_folded",
+		"Partial products absorbed by RemoteWrite pre-aggregation.", true},
+	WireBytes: {"wire_bytes",
+		"Payload bytes crossing the transport.", true},
+	RPCs: {"rpcs",
+		"RPC round trips (calls plus stream batches).", true},
+	EntriesScanned: {"entries_scanned",
+		"Entries returned to scan clients.", true},
+	EntriesWritten: {"entries_written",
+		"Entries ingested by tablet servers.", true},
+	ScansStarted: {"scans_started",
+		"Scans issued, client and server-side.", true},
+	CacheHits: {"cache_hits",
+		"Block-cache hits on the durable read path.", false},
+	CacheMisses: {"cache_misses",
+		"Block-cache misses on the durable read path.", false},
+	BloomNegatives: {"bloom_negatives",
+		"Single-row seeks answered by a row bloom filter without a block read.", false},
+	ColQBloomNegatives: {"colq_bloom_negatives",
+		"Single-cell seeks answered by a (row, column-qualifier) bloom filter.", false},
+	LocalityBlocksSkipped: {"locality_blocks_skipped",
+		"Rfile blocks skipped by locality-group family constraints.", false},
+	CompactionKicks: {"compaction_kicks",
+		"Write batches that prompted a background compaction scheduler.", true},
+	WriteWireBytes: {"write_wire_bytes",
+		"Encoded bytes of write batches shipped to tablet servers.", true},
+	SharedScanFolds: {"shared_scan_folds",
+		"Scans folded onto another scan's physical tablet pass.", true},
+	QueueWaitNanos: {"queue_wait_nanos",
+		"Nanoseconds queries and passes spent waiting in scheduler queues.", true},
+	ScratchTablesCreated: {"scratch_tables_created",
+		"Intermediate tables materialised by kernel drivers and plans.", true},
+	MemtableFreezes: {"memtable_freezes",
+		"Memtables frozen and handed to background flush.", false},
+	WriteStallNanos: {"write_stall_nanos",
+		"Nanoseconds writers spent stalled on flush backpressure.", false},
+	MajorCompactions: {"major_compactions",
+		"Completed major compactions, manual and scheduled.", false},
+	MajorCompactionErrors: {"major_compaction_errors",
+		"Failed scheduled major compactions.", false},
 }
 
 // String returns the counter's stable snake_case name, used in JSON
@@ -128,8 +171,19 @@ func (c Counter) String() string {
 	if c < 0 || c >= NumCounters {
 		return fmt.Sprintf("counter_%d", int(c))
 	}
-	return counterNames[c]
+	return counterDefs[c].name
 }
+
+// Help returns the counter's one-line /metrics description.
+func (c Counter) Help() string {
+	if c < 0 || c >= NumCounters {
+		return ""
+	}
+	return counterDefs[c].help
+}
+
+// Mirrored reports whether the counter is mirrored (see counterDef).
+func (c Counter) Mirrored() bool { return c >= 0 && c < NumCounters && counterDefs[c].mirror }
 
 // Counts is a point-in-time snapshot of a StatSet.
 type Counts [NumCounters]int64
@@ -160,7 +214,8 @@ func (k *Counts) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// StatSet is a lock-free per-query counter block.
+// StatSet is a lock-free counter block: a process's global counters or
+// one query's.
 type StatSet struct {
 	c [NumCounters]atomic.Int64
 }
@@ -169,6 +224,23 @@ type StatSet struct {
 func (s *StatSet) Add(c Counter, n int64) {
 	if c >= 0 && c < NumCounters {
 		s.c[c].Add(n)
+	}
+}
+
+// Count records n events of c that happened in this process: in s, the
+// process-global set, and in q (nil = untraced).
+func (s *StatSet) Count(q *Query, c Counter, n int64) {
+	s.Add(c, n)
+	q.Add(c, n)
+}
+
+// AddMirrored folds the mirrored counters of k into s — how an external
+// tablet server's pass reaches the coordinator's global set.
+func (s *StatSet) AddMirrored(k Counts) {
+	for c := Counter(0); c < NumCounters; c++ {
+		if c.Mirrored() && k[c] != 0 {
+			s.c[c].Add(k[c])
+		}
 	}
 }
 

@@ -364,11 +364,13 @@ func TestHTTPEndpoint(t *testing.T) {
 
 	srv, err := Serve("127.0.0.1:0", ServerConfig{
 		Registry: reg,
-		Counters: func() []Sample {
-			return []Sample{
-				{Name: "wire_bytes", Help: "Bytes moved.", Value: 77},
-				{Name: "scans_in_flight", Gauge: true, Value: 2},
-			}
+		Counts: func() Counts {
+			var k Counts
+			k[WireBytes] = 77
+			return k
+		},
+		Gauges: func() []Sample {
+			return []Sample{{Name: "scans_in_flight", Value: 2}}
 		},
 	})
 	if err != nil {
@@ -435,5 +437,47 @@ func TestTraceIDString(t *testing.T) {
 	a, b := newID(), newID()
 	if a == b || a == 0 {
 		t.Fatalf("newID not unique: %x %x", a, b)
+	}
+}
+
+// TestCounterRegistryComplete holds every Counter to the registry
+// contract: a name and help text, exactly one graphulo_<name>_total
+// family on /metrics carrying its value, and a lossless trip through
+// the trailer codec. A counter added to the enum without its table
+// entry fails here.
+func TestCounterRegistryComplete(t *testing.T) {
+	var k Counts
+	for c := Counter(0); c < NumCounters; c++ {
+		k[c] = int64(1000 + c)
+	}
+	metrics := string(renderMetrics(ServerConfig{Counts: func() Counts { return k }}))
+	seen := map[string]bool{}
+	for c := Counter(0); c < NumCounters; c++ {
+		name, help := c.String(), c.Help()
+		if name == "" || help == "" {
+			t.Errorf("counter %d: name %q help %q, want both non-empty", int(c), name, help)
+			continue
+		}
+		if seen[name] {
+			t.Errorf("counter name %q registered twice", name)
+		}
+		seen[name] = true
+		family := "graphulo_" + name + "_total"
+		if n := strings.Count(metrics, "\n"+family+" "); n != 1 {
+			t.Errorf("/metrics has %d %s samples, want 1", n, family)
+		}
+		if want := fmt.Sprintf("\n%s %d\n", family, k[c]); !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+		}
+		if !strings.Contains(metrics, "# TYPE "+family+" counter\n") {
+			t.Errorf("/metrics lacks the TYPE line of %s", family)
+		}
+	}
+	got, err := DecodeTrailer(AppendTrailer(nil, Trailer{Counts: k}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Counts != k {
+		t.Fatalf("trailer round trip: got %v, want %v", got.Counts, k)
 	}
 }
